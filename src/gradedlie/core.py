@@ -5,10 +5,14 @@ linear and multilinear maps stored as sparse tables, Koszul signs,
 shuffle permutations, and dense Gaussian elimination for the small
 exact systems solved elsewhere in the library.
 
-Scalars are ``fractions.Fraction`` throughout: every denominator is
-positive, every value gcd-reduced, no floats anywhere.  All public
-values are treated as immutable after construction, so they can be
-shared freely across threads.
+Scalars are exact rationals: a value whose denominator is 1 is stored
+as an ``int``, any other as a ``fractions.Fraction`` (positive
+denominator, gcd-reduced); never a float.  The two types compare and
+hash equal, so the choice never shows in results, but it keeps most
+arithmetic off the slow ``Fraction`` path.  All public values are
+treated as immutable after construction, so they can be shared freely
+across threads; sums accumulate in place only into a dict that no
+:class:`Vector` owns yet.
 """
 
 from __future__ import annotations
@@ -22,29 +26,36 @@ __all__ = [
     "Scalar", "as_scalar", "format_scalar",
     "GradedVectorSpace", "Vector", "LinearMap", "MultilinearMap",
     "koszul_sign", "enumerate_shuffles", "enumerate_shuffles_with_tail",
-    "sort_basis_tuple",
+    "signed_shuffles", "sort_basis_tuple", "accumulate",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
     "worker_count", "parallel_map",
 ]
 
 Scalar = Fraction
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def as_scalar(value) -> Fraction:
+def _exact(x):
+    """The int-or-Fraction form of an exact scalar."""
+    if x.__class__ is not int and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def as_scalar(value):
     """Coerce ints, Fractions and strings like ``-3/7`` to an exact scalar."""
-    if isinstance(value, Fraction):
+    if value.__class__ is int:
         return value
+    if isinstance(value, Fraction):
+        return _exact(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _exact(Fraction(value.strip()))
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def format_scalar(x: Fraction) -> str:
+def format_scalar(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -93,6 +104,18 @@ def enumerate_shuffles(k: int, m: int) -> tuple:
         second = tuple(i for i in range(n) if i not in first)
         out.append(first + second)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def signed_shuffles(k: int, m: int, parities: tuple) -> tuple:
+    """The (k, m)-shuffles paired with their Koszul signs.
+
+    ``parities`` holds ``degree % 2`` of each of the k + m inputs.  The
+    sign of a shuffle depends on the degrees only through these, so the
+    pairs are computed once per pattern and then shared.
+    """
+    return tuple((sigma, koszul_sign(sigma, parities))
+                 for sigma in enumerate_shuffles(k, m))
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +176,28 @@ def canonical_tuples(space, arity):
 # Spaces and vectors
 # ---------------------------------------------------------------------------
 
+def accumulate(acc: dict, vec: "Vector", factor=1) -> None:
+    """Add ``factor * vec`` into the coefficient dict ``acc`` in place.
+
+    ``acc`` must belong to the caller, never to a Vector; entries that
+    cancel are dropped, so it never holds a zero.  ``Vector(space, acc)``
+    turns it into a value.
+    """
+    if not factor:
+        return
+    unit = factor == 1
+    get = acc.get
+    for i, c in vec.coeffs.items():
+        v = get(i, 0) + (c if unit else factor * c)
+        if v:
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
+            acc[i] = v
+        else:
+            # v can only vanish when acc already held i
+            del acc[i]
+
+
 class GradedVectorSpace:
     """Finite-dimensional Z-graded vector space with an ordered basis."""
 
@@ -170,6 +215,8 @@ class GradedVectorSpace:
         self.labels = labels
         self.degrees = tuple(degree for _, degree in basis)
         self._index = {label: i for i, label in enumerate(labels)}
+        self._basis = tuple(Vector._owning(self, {i: 1})
+                            for i in range(len(labels)))
 
     @property
     def dim(self) -> int:
@@ -191,13 +238,13 @@ class GradedVectorSpace:
         return tuple(sorted(set(self.degrees)))
 
     def zero(self) -> "Vector":
-        return Vector(self, {})
+        return Vector._owning(self, {})
 
     def basis_vector(self, key) -> "Vector":
         i = key if isinstance(key, int) else self.index(key)
         if not 0 <= i < self.dim:
             raise IndexError(f"basis index {i} out of range")
-        return Vector(self, {i: _ONE})
+        return self._basis[i]
 
     def vector(self, coeffs) -> "Vector":
         out = {}
@@ -205,12 +252,13 @@ class GradedVectorSpace:
             i = key if isinstance(key, int) else self.index(key)
             c = as_scalar(value)
             if c:
-                out[i] = out.get(i, _ZERO) + c
+                out[i] = out.get(i, 0) + c
         return Vector(self, {i: c for i, c in out.items() if c})
 
     def __eq__(self, other):
-        return (isinstance(other, GradedVectorSpace)
-                and self.labels == other.labels and self.degrees == other.degrees)
+        return other is self or (
+            isinstance(other, GradedVectorSpace)
+            and self.labels == other.labels and self.degrees == other.degrees)
 
     def __hash__(self):
         return hash((self.labels, self.degrees))
@@ -227,7 +275,16 @@ class Vector:
 
     def __init__(self, space: GradedVectorSpace, coeffs: dict):
         self.space = space
-        self.coeffs = {i: c for i, c in coeffs.items() if c}
+        exact = ((i, as_scalar(c)) for i, c in coeffs.items())
+        self.coeffs = {i: c for i, c in exact if c}
+
+    @classmethod
+    def _owning(cls, space, coeffs: dict) -> "Vector":
+        """Wrap ``coeffs`` as is: int-or-Fraction, no zeros, owned by no one."""
+        vec = object.__new__(cls)
+        vec.space = space
+        vec.coeffs = coeffs
+        return vec
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -241,9 +298,9 @@ class Vector:
             raise ValueError(f"vector is not homogeneous: {self}")
         return degs.pop()
 
-    def coefficient(self, key) -> Fraction:
+    def coefficient(self, key):
         i = key if isinstance(key, int) else self.space.index(key)
-        return self.coeffs.get(i, _ZERO)
+        return self.coeffs.get(i, 0)
 
     def _binop(self, other, sign):
         if not isinstance(other, Vector):
@@ -251,24 +308,34 @@ class Vector:
         if self.space != other.space:
             raise ValueError("vectors live in different spaces")
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, _ZERO) + sign * c
-        return Vector(self.space, out)
+        accumulate(out, other, sign)
+        return Vector._owning(self.space, out)
 
     def __add__(self, other):
-        return self._binop(other, _ONE)
+        return self._binop(other, 1)
 
     def __sub__(self, other):
-        return self._binop(other, -_ONE)
+        return self._binop(other, -1)
 
     def __neg__(self):
-        return Vector(self.space, {i: -c for i, c in self.coeffs.items()})
+        return Vector._owning(self.space,
+                              {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "Vector":
         c = as_scalar(scalar)
         if not c:
             return self.space.zero()
-        return Vector(self.space, {i: c * v for i, v in self.coeffs.items()})
+        if c == 1:
+            return Vector._owning(self.space, dict(self.coeffs))
+        if c == -1:
+            return -self
+        out = {}
+        for i, v in self.coeffs.items():
+            x = c * v
+            if x.__class__ is not int and x.denominator == 1:
+                x = x.numerator
+            out[i] = x
+        return Vector._owning(self.space, out)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -278,7 +345,7 @@ class Vector:
                 and self.coeffs == other.coeffs)
 
     def dense(self):
-        return [self.coeffs.get(i, _ZERO) for i in range(self.space.dim)]
+        return [self.coeffs.get(i, 0) for i in range(self.space.dim)]
 
     def __repr__(self):
         if not self.coeffs:
@@ -338,12 +405,13 @@ class LinearMap:
     def apply(self, vec: Vector) -> Vector:
         if vec.space != self.domain:
             raise ValueError("vector not in the domain of this map")
-        out = self.codomain.zero()
+        acc = {}
+        columns = self.columns
         for i, c in vec.coeffs.items():
-            col = self.columns.get(i)
+            col = columns.get(i)
             if col is not None:
-                out = out + col.scale(c)
-        return out
+                accumulate(acc, col, c)
+        return Vector._owning(self.codomain, acc)
 
     def __call__(self, vec: Vector) -> Vector:
         return self.apply(vec)
@@ -380,7 +448,7 @@ class LinearMap:
 
     def kernel_basis(self):
         """Deterministic basis of the kernel, as domain vectors."""
-        rows = [[self.columns[i].coeffs.get(j, _ZERO) if i in self.columns else _ZERO
+        rows = [[self.columns[i].coeffs.get(j, 0) if i in self.columns else 0
                  for i in range(self.domain.dim)]
                 for j in range(self.codomain.dim)]
         return [Vector(self.domain, {i: c for i, c in enumerate(col) if c})
@@ -410,6 +478,11 @@ class MultilinearMap:
     legal exactly when its degree is odd (v wedge v = 0 only in even
     degrees).  Evaluation at permuted or non-canonical arguments picks up
     the Koszul sign of the sorting permutation.
+
+    Signed values are cached per argument tuple as they are looked up, so
+    a repeated tuple skips the sort.  ``table`` is written only through
+    :meth:`set_entry`, which drops that cache.  Lookups from several
+    threads may fill the cache at once: each writes the same value.
     """
 
     def __init__(self, domain, codomain, arity, degree):
@@ -418,6 +491,7 @@ class MultilinearMap:
         self.arity = int(arity)
         self.degree = int(degree)
         self.table = {}
+        self._signed = {}
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
@@ -449,6 +523,7 @@ class MultilinearMap:
             raise ValueError("entry value lies in the wrong space")
         value = value.scale(sign)
         if value.is_zero():
+            self._signed = {}
             self.table.pop(canon, None)
             return
         expected = sum(self.domain.degrees[i] for i in canon) + self.degree
@@ -462,19 +537,28 @@ class MultilinearMap:
             raise ValueError(
                 f"conflicting assignments at {self.labels_of(canon)}: "
                 f"{stored} vs {value}")
+        self._signed = {}
         self.table[canon] = value
 
     def labels_of(self, key):
         return tuple(self.domain.labels[i] for i in key)
 
-    def evaluate_indices(self, key) -> Vector:
+    def _signed_value(self, key: tuple) -> Vector:
+        """Look up ``key`` in any order, with its sign, and cache the value."""
         canon, sign = self.canonical_key(key)
-        if canon is None:
-            return self.codomain.zero()
-        value = self.table.get(canon)
+        value = None if canon is None else self.table.get(canon)
         if value is None:
-            return self.codomain.zero()
-        return value.scale(sign)
+            value = self.codomain.zero()
+        elif sign != 1:
+            value = -value
+        self._signed[key] = value
+        return value
+
+    def evaluate_indices(self, key) -> Vector:
+        if key.__class__ is not tuple:
+            key = tuple(key)
+        value = self._signed.get(key)
+        return value if value is not None else self._signed_value(key)
 
     def evaluate(self, args) -> Vector:
         """Multilinear evaluation at arbitrary vectors of the domain."""
@@ -483,16 +567,30 @@ class MultilinearMap:
         for a in args:
             if not isinstance(a, Vector) or a.space != self.domain:
                 raise ValueError("argument outside the domain space")
-        out = self.codomain.zero()
-        supports = [sorted(a.coeffs.items()) for a in args]
-        for combo in itertools.product(*supports):
-            coeff = _ONE
-            for _, c in combo:
-                coeff *= c
-            term = self.evaluate_indices(tuple(i for i, _ in combo))
-            if not term.is_zero():
-                out = out + term.scale(coeff)
-        return out
+        acc = {}
+        signed = self._signed
+        if self.arity == 2:
+            # the bracket: most evaluations, so no product() or key building
+            left, right = args
+            for i, a in left.coeffs.items():
+                for j, b in right.coeffs.items():
+                    value = signed.get((i, j))
+                    if value is None:
+                        value = self._signed_value((i, j))
+                    if value.coeffs:
+                        accumulate(acc, value, a * b)
+            return Vector._owning(self.codomain, acc)
+        for combo in itertools.product(*[a.coeffs.items() for a in args]):
+            key = tuple([i for i, _ in combo])
+            value = signed.get(key)
+            if value is None:
+                value = self._signed_value(key)
+            if value.coeffs:
+                coeff = 1
+                for _, c in combo:
+                    coeff *= c
+                accumulate(acc, value, coeff)
+        return Vector._owning(self.codomain, acc)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -533,7 +631,7 @@ def rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _ONE / rows[r][col]
+        inv = Fraction(1) / rows[r][col]
         rows[r] = [c * inv for c in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
@@ -557,7 +655,7 @@ def solve_dense(rows, rhs):
     red, pivots = rref(aug)
     if nvars in pivots:
         return None, kernel_vectors(rows, nvars)
-    solution = [_ZERO] * nvars
+    solution = [0] * nvars
     for r, col in enumerate(pivots):
         solution[col] = red[r][nvars]
     return solution, kernel_vectors(rows, nvars)
@@ -570,8 +668,8 @@ def kernel_vectors(rows, nvars):
     free = [c for c in range(nvars) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [_ZERO] * nvars
-        vec[f] = _ONE
+        vec = [0] * nvars
+        vec[f] = 1
         for r, col in enumerate(pivots):
             vec[col] = -red[r][f]
         basis.append(vec)
@@ -591,11 +689,11 @@ def echelon_vectors(vectors, space) -> list:
 def coordinates_in_span(vectors, target: Vector):
     """Coefficients expressing ``target`` in ``vectors``, or None."""
     if target.is_zero():
-        return [_ZERO] * len(vectors)
+        return [0] * len(vectors)
     if not vectors:
         return None
     space = vectors[0].space
-    rows = [[v.coeffs.get(j, _ZERO) for v in vectors] for j in range(space.dim)]
+    rows = [[v.coeffs.get(j, 0) for v in vectors] for j in range(space.dim)]
     solution, _ = solve_dense(rows, target.dense())
     return solution
 

@@ -69,9 +69,6 @@ class DgLieAlgebra:
         return f"DgLieAlgebra(dim {self.space.dim})"
 
 
-_legal_tuples = canonical_tuples
-
-
 def validate_dgla(A: DgLieAlgebra):
     """Check d^2 = 0, graded skew-symmetry, Leibniz, and Jacobi exactly."""
     space = A.space
@@ -100,7 +97,7 @@ def validate_dgla(A: DgLieAlgebra):
         rhs = rhs + (term if space.degrees[i] % 2 == 0 else -term)
         return (i, j), lhs - rhs
 
-    pairs = [idx for idx in _legal_tuples(space, 2)]
+    pairs = list(canonical_tuples(space, 2))
     for (i, j), defect in parallel_map(leibniz_defect, pairs):
         if not defect.is_zero():
             out.append(Violation("leibniz", (space.labels[i], space.labels[j]),
@@ -116,7 +113,7 @@ def validate_dgla(A: DgLieAlgebra):
             acc = acc + term.scale(sign)
         return idx, acc
 
-    for idx, defect in parallel_map(jacobi_defect, list(_legal_tuples(space, 3))):
+    for idx, defect in parallel_map(jacobi_defect, list(canonical_tuples(space, 3))):
         if not defect.is_zero():
             out.append(Violation("jacobi", tuple(space.labels[i] for i in idx),
                                  f"defect {defect}"))
@@ -518,12 +515,12 @@ def cohomology(A: DgLieAlgebra, splitting: Splitting | None = None) -> Cohomolog
     s = splitting if splitting is not None else compute_splitting(A)
     H = s.h_space
     bracket = MultilinearMap(H, H, 2, 0)
-    for idx in _legal_tuples(H, 2):
+    for idx in canonical_tuples(H, 2):
         value = s.pi.apply(A.bracket_of(s.h_vectors[idx[0]], s.h_vectors[idx[1]]))
         if not value.is_zero():
             bracket.set_entry(idx, value)
     violations = []
-    for idx in _legal_tuples(H, 3):
+    for idx in canonical_tuples(H, 3):
         degs = [H.degrees[i] for i in idx]
         acc = H.zero()
         for sigma in enumerate_shuffles(2, 1):
@@ -563,7 +560,7 @@ def restrict_to_span(A: DgLieAlgebra, vectors) -> tuple:
               for i, v in enumerate(vectors)}
     d_sub = LinearMap(sub, sub, 1, d_cols)
     bracket_sub = MultilinearMap(sub, sub, 2, 0)
-    for idx in _legal_tuples(sub, 2):
+    for idx in canonical_tuples(sub, 2):
         w = A.bracket_of(vectors[idx[0]], vectors[idx[1]])
         if not w.is_zero():
             bracket_sub.set_entry(

@@ -357,11 +357,13 @@ class FormalityWitness:
     The arity-1 coefficient is the identity, arity 2 is absent (zero),
     and higher coefficients are supported on degree-1 class tuples.  The
     report lists what was checked while building; verified_up_to bounds
-    every claim made.
+    every claim made.  ``transfer`` is the minimal model the witness was
+    built on, for :func:`verify_witness`.
     """
     taylor: dict
     verified_up_to: int
     report: list = field(default_factory=list)
+    transfer: TransferResult | None = None
 
 
 class WitnessRejected(Exception):
@@ -494,7 +496,7 @@ def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
         raise AssertionError(
             f"{failure} -- hypotheses re-verified clean: this is an "
             f"implementation bug, not an input problem") from None
-    return FormalityWitness(taylor, N, report)
+    return FormalityWitness(taylor, N, report, T)
 
 
 def _identity_map(H) -> MultilinearMap:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
-    GradedVectorSpace, MultilinearMap, Vector, canonical_tuples,
-    enumerate_shuffles, koszul_sign, parallel_map,
+    GradedVectorSpace, MultilinearMap, Vector, accumulate, canonical_tuples,
+    parallel_map, signed_shuffles,
 )
 from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitting
 
@@ -31,6 +32,38 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+
+
+def _parities(space, idx) -> tuple:
+    return tuple(space.degrees[i] % 2 for i in idx)
+
+
+@lru_cache(maxsize=None)
+def _split_signs(k: int, m: int, parities: tuple) -> tuple:
+    """(shuffle, sign) for the two-block terms [f_k(...), f_m(...)].
+
+    With n = k + m, the sign is the Koszul sign of the shuffle times
+    (-1)^((1 - n + k)(k + total degree of the first block)): the sign of
+    the transfer recursion, and of the morphism relation, whose exponent
+    has -k in place of k.  It depends on the degrees only through their
+    parities.  At n = 2 the extra factor
+    is trivial, and on all-odd inputs the whole sign collapses to +1;
+    both are asserted once per pattern.
+    """
+    n = k + m
+    out = []
+    for sigma, chi in signed_shuffles(k, m, parities):
+        alpha = (1 - n + k) * (k + sum(parities[s] for s in sigma[:k]))
+        sign = -chi if alpha % 2 else chi
+        if n == 2:
+            assert alpha % 2 == 0, \
+                "internal error: arity-2 side sign must vanish"
+        if all(parities):
+            assert sign == 1, \
+                "internal error: transfer signs must collapse " \
+                "to +1 on all-odd inputs"
+        out.append((sigma, sign))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +155,17 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
             continue
 
         def defect_at(idx, pairs=pairs, n=n):
-            degs = [space.degrees[i] for i in idx]
-            total = space.zero()
+            parities = _parities(space, idx)
+            total = {}
             for k, inner, outer in pairs:
                 outer_sign = -1 if (n - k) % 2 else 1
-                for sigma in enumerate_shuffles(k, n - k):
-                    chi = koszul_sign(sigma, degs)
-                    head = inner.evaluate_indices(tuple(idx[s] for s in sigma[:k]))
+                for sigma, chi in signed_shuffles(k, n - k, parities):
+                    head = inner.evaluate_indices(tuple([idx[s] for s in sigma[:k]]))
                     if head.is_zero():
                         continue
                     args = [head] + [space.basis_vector(idx[s]) for s in sigma[k:]]
-                    term = outer.evaluate(args)
-                    if not term.is_zero():
-                        total = total + term.scale(chi * outer_sign)
-            return idx, total
+                    accumulate(total, outer.evaluate(args), chi * outer_sign)
+            return idx, Vector(space, total)
 
         for idx, defect in parallel_map(defect_at, canonical_tuples(space, n)):
             if not defect.is_zero():
@@ -217,46 +247,39 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     for n in range(1, up_to + 1):
 
         def defect_at(idx, n=n):
-            degs = [src.degrees[i] for i in idx]
-            lhs = tgt.space.zero()
+            parities = _parities(src, idx)
+            brackets = {}
             for p in range(1, n):
                 g_left = m.taylor.get(p)
                 g_right = m.taylor.get(n - p)
                 if g_left is None or g_right is None:
                     continue
-                for sigma in enumerate_shuffles(p, n - p):
-                    chi = koszul_sign(sigma, degs)
-                    exponent = (1 - n + p) * (
-                        sum(degs[s] for s in sigma[:p]) - p)
-                    sign = chi * (-1 if exponent % 2 else 1)
-                    left = g_left.evaluate_indices(tuple(idx[s] for s in sigma[:p]))
+                for sigma, sign in _split_signs(p, n - p, parities):
+                    left = g_left.evaluate_indices(tuple([idx[s] for s in sigma[:p]]))
                     if left.is_zero():
                         continue
-                    right = g_right.evaluate_indices(tuple(idx[s] for s in sigma[p:]))
+                    right = g_right.evaluate_indices(tuple([idx[s] for s in sigma[p:]]))
                     if right.is_zero():
                         continue
-                    lhs = lhs + tgt.bracket.evaluate([left, right]).scale(sign)
-            lhs = lhs.scale(_HALF)
+                    accumulate(brackets, tgt.bracket.evaluate([left, right]), sign)
+            lhs = Vector(tgt.space, brackets).scale(_HALF)
             g_n = m.taylor.get(n)
             if g_n is not None:
                 lhs = lhs + tgt.d.apply(g_n.evaluate_indices(idx))
-            rhs = tgt.space.zero()
+            rhs = {}
             for k in range(1, n + 1):
                 inner = m.source.brackets.get(k)
                 g_out = m.taylor.get(n - k + 1)
                 if inner is None or g_out is None:
                     continue
                 outer_sign = -1 if (n - k) % 2 else 1
-                for sigma in enumerate_shuffles(k, n - k):
-                    chi = koszul_sign(sigma, degs)
-                    head = inner.evaluate_indices(tuple(idx[s] for s in sigma[:k]))
+                for sigma, chi in signed_shuffles(k, n - k, parities):
+                    head = inner.evaluate_indices(tuple([idx[s] for s in sigma[:k]]))
                     if head.is_zero():
                         continue
                     args = [head] + [src.basis_vector(idx[s]) for s in sigma[k:]]
-                    term = g_out.evaluate(args)
-                    if not term.is_zero():
-                        rhs = rhs + term.scale(chi * outer_sign)
-            return idx, lhs - rhs
+                    accumulate(rhs, g_out.evaluate(args), chi * outer_sign)
+            return idx, lhs - Vector(tgt.space, rhs)
 
         for idx, defect in parallel_map(defect_at, canonical_tuples(src, n)):
             if not defect.is_zero():
@@ -306,37 +329,24 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
         bracket_p = MultilinearMap(H, H, p, 2 - p)
 
         def pre_value(idx, p=p):
-            degs = [H.degrees[i] for i in idx]
-            all_odd = all(d % 2 for d in degs)
-            total = A.space.zero()
+            parities = _parities(H, idx)
+            total = {}
             for k in range(1, p):
                 left_table = iota_tables[k]
                 right_table = iota_tables[p - k]
                 if left_table.is_zero() or right_table.is_zero():
                     continue
-                for sigma in enumerate_shuffles(k, p - k):
-                    chi = koszul_sign(sigma, degs)
-                    alpha = (1 - p + k) * (k + sum(degs[s] for s in sigma[:k]))
-                    sign = chi * (-1 if alpha % 2 else 1)
-                    if p == 2:
-                        assert alpha % 2 == 0, \
-                            "internal error: arity-2 side sign must vanish"
-                    if all_odd:
-                        assert sign == 1, \
-                            "internal error: transfer signs must collapse " \
-                            "to +1 on all-odd inputs"
+                for sigma, sign in _split_signs(k, p - k, parities):
                     left = left_table.evaluate_indices(
-                        tuple(idx[s] for s in sigma[:k]))
+                        tuple([idx[s] for s in sigma[:k]]))
                     if left.is_zero():
                         continue
                     right = right_table.evaluate_indices(
-                        tuple(idx[s] for s in sigma[k:]))
+                        tuple([idx[s] for s in sigma[k:]]))
                     if right.is_zero():
                         continue
-                    term = A.bracket.evaluate([left, right])
-                    if not term.is_zero():
-                        total = total + term.scale(sign)
-            return idx, total.scale(_HALF)
+                    accumulate(total, A.bracket.evaluate([left, right]), sign)
+            return idx, Vector(A.space, total).scale(_HALF)
 
         for idx, value in parallel_map(pre_value, canonical_tuples(H, p)):
             if value.is_zero():

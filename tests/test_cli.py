@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gradedlie.cli import main
 from gradedlie.documents import bundled_documents
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +176,60 @@ def test_unknown_massey_label_exits_two(corpus_files, capsys):
                        "--triple", "x", "x", "q")
     assert code == 2
     assert "unknown basis label 'q'" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "weighted-pair"], 0),
+    (["formality", "nocontraction"], 1),
+])
+def test_closed_stdout_keeps_the_report_exit_code(corpus_files, argv, expected):
+    # the read end is closed before the command starts, so its first
+    # write to stdout fails with a broken pipe, as under `| head`
+    command, name = argv
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gradedlie.cli", command, corpus_files[name]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+    finally:
+        os.close(write_end)
+    assert done.returncode == expected
+    assert done.stderr == ""
+
+
+def counting(monkeypatch, name, *modules):
+    """Count calls of ``name`` through every module that binds it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_transfer_checks_the_morphism_relations_once(corpus_files, capsys,
+                                                     monkeypatch):
+    import gradedlie.cli
+    import gradedlie.linfty
+    calls = counting(monkeypatch, "check_morphism", gradedlie.linfty,
+                     gradedlie.cli)
+    code, out, _ = run(capsys, "transfer", corpus_files["nocontraction"])
+    assert code == 0
+    assert calls == ["check_morphism"]
+    assert "morphism relations to arity" in out and ": 0 violations" in out
+
+
+def test_formality_transfers_once(corpus_files, capsys, monkeypatch):
+    import gradedlie.cli
+    import gradedlie.formality
+    calls = counting(monkeypatch, "homotopy_transfer", gradedlie.formality,
+                     gradedlie.cli)
+    code, out, _ = run(capsys, "formality", corpus_files["weighted-pair"])
+    assert code == 0 and "FORMAL-UP-TO-" in out
+    assert calls == ["homotopy_transfer"]

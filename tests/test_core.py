@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -7,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie.core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, as_scalar,
-    coordinates_in_span, echelon_vectors, enumerate_shuffles,
+    GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
+    canonical_tuples, coordinates_in_span, echelon_vectors, enumerate_shuffles,
     enumerate_shuffles_with_tail, kernel_vectors, koszul_sign, rref,
     solve_dense, sort_basis_tuple, worker_count,
 )
@@ -255,6 +258,225 @@ def test_evaluate_at_permuted_arguments_matches_koszul_sign(rng):
     lhs = f.evaluate([V.basis_vector(i) for i in permuted])
     rhs = f.evaluate([V.basis_vector(i) for i in args]).scale(sign)
     assert lhs == rhs
+
+
+# --- exact kernel against a plain Fraction reference ----------------------------
+#
+# The reference works on {index: Fraction} dicts and never touches Vector,
+# so a slip in the in-place accumulation, the cached signed lookups or the
+# int fast path shows up as a disagreement.
+
+SCALARS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+DEGREES = st.sampled_from([-1, 0, 1, 2])
+# two basis elements in every degree an entry of arity <= 3 can land in
+TARGET = GradedVectorSpace([(f"w{d}{c}", d) for d in range(-3, 7) for c in "ab"])
+
+
+def ref_dict(coeffs):
+    return {i: Fraction(c) for i, c in coeffs.items() if c}
+
+
+def ref_combine(a, b, factor):
+    out = dict(a)
+    for i, c in b.items():
+        out[i] = out.get(i, Fraction(0)) + factor * c
+    return {i: c for i, c in out.items() if c}
+
+
+def ref_value_at(ref_table, degrees, idx):
+    """The map at a basis tuple in any order, from its canonical entry."""
+    order = sorted(range(len(idx)), key=lambda t: idx[t])
+    canon = tuple(idx[t] for t in order)
+    if any(a == b and degrees[a] % 2 == 0 for a, b in zip(canon, canon[1:])):
+        return {}
+    sign = sign_by_inversions(order, [degrees[i] for i in idx])
+    return {j: sign * c for j, c in ref_table.get(canon, {}).items()}
+
+
+def ref_evaluate(ref_table, degrees, args):
+    out = {}
+    for combo in itertools.product(*[sorted(a.items()) for a in args]):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        value = ref_value_at(ref_table, degrees, [i for i, _ in combo])
+        out = ref_combine(out, value, coeff)
+    return out
+
+
+def assert_exact(vec):
+    """Coefficients are int, or Fraction only off denominator 1; no zeros."""
+    for c in vec.coeffs.values():
+        assert type(c) in (int, Fraction), c
+        assert c != 0
+        assert type(c) is int or c.denominator != 1, c
+
+
+@st.composite
+def kernel_cases(draw):
+    degrees = draw(st.lists(DEGREES, min_size=2, max_size=5))
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    dim = len(degrees)
+    arity = draw(st.sampled_from([1, 2, 3]))
+    f = MultilinearMap(V, TARGET, arity, 0)
+    ref_table = {}
+    for canon in canonical_tuples(V, arity):
+        if not draw(st.booleans()):
+            continue
+        degree = sum(degrees[i] for i in canon)
+        value = {TARGET.index(f"w{degree}{c}"): draw(SCALARS) for c in "ab"}
+        # store through a shuffled key, so set_entry folds in the sign
+        order = draw(st.permutations(range(arity)))
+        key = tuple(canon[t] for t in order)
+        f.set_entry(key, Vector(TARGET, value))
+        sign = sign_by_inversions(order, [degrees[i] for i in canon])
+        ref_table[canon] = {j: sign * Fraction(c)
+                            for j, c in ref_dict(value).items()}
+    coeffs = st.dictionaries(st.integers(0, dim - 1), SCALARS, max_size=dim)
+    args = [draw(coeffs) for _ in range(arity)]
+    if draw(st.booleans()):
+        # the same vector in every slot: even-degree parts cancel in pairs
+        args = [args[0]] * arity
+    return V, f, ref_table, args
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_evaluate_agrees_with_the_fraction_reference(case):
+    V, f, ref_table, args = case
+    table_before = {k: dict(v.coeffs) for k, v in f.table.items()}
+    vectors = [Vector(V, a) for a in args]
+    operands = [dict(v.coeffs) for v in vectors]
+    expected = ref_evaluate(ref_table, V.degrees, [ref_dict(a) for a in args])
+    for _ in range(2):  # the second pass reads the cached signed lookups
+        got = f.evaluate(vectors)
+        assert got.coeffs == expected
+        assert_exact(got)
+    assert [dict(v.coeffs) for v in vectors] == operands
+    assert {k: dict(v.coeffs) for k, v in f.table.items()} == table_before
+    for idx in itertools.product(range(V.dim), repeat=f.arity):
+        got = f.evaluate_indices(idx)
+        assert got.coeffs == ref_value_at(ref_table, V.degrees, idx)
+        assert_exact(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vector_and_linear_map_ops_agree_with_the_reference(data):
+    degrees = data.draw(st.lists(DEGREES, min_size=1, max_size=5))
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    coeffs = st.dictionaries(st.integers(0, V.dim - 1), SCALARS, max_size=V.dim)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    if data.draw(st.booleans()):
+        b = {i: -c for i, c in a.items()}  # a + b cancels completely
+    c = data.draw(SCALARS)
+    u, v = Vector(V, a), Vector(V, b)
+    snapshot = (dict(u.coeffs), dict(v.coeffs))
+    ra, rb = ref_dict(a), ref_dict(b)
+    for got, expected in [(u + v, ref_combine(ra, rb, 1)),
+                          (u - v, ref_combine(ra, rb, -1)),
+                          (-u, ref_combine({}, ra, -1)),
+                          (u.scale(c), ref_combine({}, ra, Fraction(c))),
+                          (u - u, {})]:
+        assert got.coeffs == expected
+        assert_exact(got)
+    assert (dict(u.coeffs), dict(v.coeffs)) == snapshot
+
+    # a degree-0 endomorphism given by columns within each degree
+    columns = {}
+    for i in range(V.dim):
+        same = V.indices_of_degree(degrees[i])
+        col = data.draw(st.dictionaries(st.sampled_from(same), SCALARS))
+        columns[i] = Vector(V, col)
+    g = LinearMap(V, V, 0, columns)
+    expected = {}
+    for i, x in ra.items():
+        expected = ref_combine(expected, ref_dict(columns[i].coeffs), x)
+    got = g.apply(u)
+    assert got.coeffs == expected
+    assert_exact(got)
+    assert dict(u.coeffs) == snapshot[0]
+
+
+def test_even_repeat_evaluates_to_zero():
+    V = space_xyz()
+    f = MultilinearMap(V, V, 2, 0)
+    a = V.basis_vector("a")
+    assert f.evaluate([a, a]).is_zero()
+    assert f.evaluate_indices(("a", "a")).is_zero()
+    # (a + z) twice: the cross terms f(a, z) and f(z, a) cancel
+    f.set_entry(("a", "z"), V.basis_vector("z").scale(Fraction(1, 2)))
+    u = V.vector({"a": 1, "z": 3})
+    assert f.evaluate([u, u]).coeffs == {}
+
+
+def test_set_entry_after_evaluate_drops_the_cached_lookup():
+    V = space_xyz()
+    f = MultilinearMap(V, V, 2, 1)
+    a, x = V.basis_vector("a"), V.basis_vector("x")
+    assert f.evaluate([x, a]).is_zero()
+    assert f.evaluate_indices(("x", "a")).is_zero()
+    f.set_entry(("a", "x"), V.basis_vector("z"))
+    assert f.evaluate([x, a]) == V.vector({"z": -1})
+    assert f.evaluate_indices(("x", "a")) == V.vector({"z": -1})
+    f.set_entry(("x", "a"), V.zero())  # assigning zero clears the entry
+    assert f.evaluate([x, a]).is_zero()
+    assert f.evaluate_indices((1, 0)).is_zero()
+
+
+def test_threads_filling_the_lookup_cache_agree():
+    # more threads than cores, switching often, each walking the keys of a
+    # fresh map in its own order: every thread must read the same signed
+    # value whether it or another thread cached it
+    degrees = [-1, 0, 1, 1, 2]
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    entries = {}
+    for n, canon in enumerate(canonical_tuples(V, 3)):
+        degree = sum(degrees[i] for i in canon)
+        entries[canon] = TARGET.basis_vector(f"w{degree}a").scale(n + 1)
+    keys = list(itertools.product(range(V.dim), repeat=3))
+    reference = MultilinearMap.from_entries(V, TARGET, 3, 0, entries)
+    expected = {k: reference.evaluate_indices(k) for k in keys}
+    workers = 8
+
+    def walk(f, barrier, seed):
+        order = keys[:]
+        random.Random(seed).shuffle(order)
+        barrier.wait(timeout=60)
+        return {k: f.evaluate_indices(k) for k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for round_ in range(10):
+                f = MultilinearMap.from_entries(V, TARGET, 3, 0, entries)
+                barrier = threading.Barrier(workers)
+                runs = [pool.submit(walk, f, barrier, round_ * workers + t)
+                        for t in range(workers)]
+                for run in runs:
+                    assert run.result(timeout=60) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_scalars_are_int_or_fraction_never_float():
+    assert type(as_scalar("6/3")) is int
+    assert type(as_scalar(Fraction(4, 2))) is int
+    assert type(as_scalar(True)) is int
+    assert as_scalar("1/3") == Fraction(1, 3)
+    V = space_xyz()
+    v = V.vector({"x": Fraction(6, 3), "y": "5/10"})
+    assert v.coeffs == {1: 2, 2: Fraction(1, 2)}
+    assert_exact(v.scale(Fraction(2)))
+    assert v.scale(2).coeffs == {1: 4, 2: 1}
+    assert_exact(v.scale(2))
+    with pytest.raises(TypeError):
+        Vector(V, {1: 0.5})
+    with pytest.raises(TypeError):
+        v.scale(1.0)
 
 
 # --- exact elimination ----------------------------------------------------------

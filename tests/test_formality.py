@@ -245,6 +245,18 @@ def test_witness_on_the_weighted_pair():
     assert witness.report and all(isinstance(line, str) for line in witness.report)
 
 
+def test_witness_carries_the_transfer_it_was_built_on():
+    Q = weighted_pair()
+    A, s = canonical(Q)
+    witness = build_formality_witness(Q, s, 5)
+    T = witness.transfer
+    assert T.arity_bound == 5 and T.splitting is s
+    fresh = homotopy_transfer(A, s, 5)
+    for p in range(2, 6):
+        assert T.minimal.operation(p) == fresh.minimal.operation(p)
+    assert verify_witness(witness, T, T.minimal.operation(2)) == []
+
+
 def test_witness_taylor_starts_with_the_identity():
     Q = weighted_pair()
     A, s = canonical(Q)
