@@ -25,8 +25,8 @@ from functools import lru_cache
 __all__ = [
     "Scalar", "as_scalar", "format_scalar",
     "GradedVectorSpace", "Vector", "LinearMap", "MultilinearMap",
-    "koszul_sign", "enumerate_shuffles", "enumerate_shuffles_with_tail",
-    "signed_shuffles", "sort_basis_tuple", "accumulate",
+    "koszul_sign", "enumerate_shuffles", "signed_shuffles",
+    "sort_basis_tuple", "accumulate",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
     "worker_count", "parallel_map",
@@ -116,25 +116,6 @@ def signed_shuffles(k: int, m: int, parities: tuple) -> tuple:
     """
     return tuple((sigma, koszul_sign(sigma, parities))
                  for sigma in enumerate_shuffles(k, m))
-
-
-@lru_cache(maxsize=None)
-def enumerate_shuffles_with_tail(j: int, m: int) -> tuple:
-    """Permutations of 0..j+m with the first two blocks increasing.
-
-    Block sizes are (j, m, 1): positions 0..j-1 increasing, positions
-    j..j+m-1 increasing, and the final position unconstrained.
-    """
-    if j < 0 or m < 0:
-        raise ValueError("shuffle block sizes must be nonnegative")
-    n = j + m + 1
-    out = []
-    for tail in range(n):
-        rest = [i for i in range(n) if i != tail]
-        for first in itertools.combinations(rest, j):
-            second = tuple(i for i in rest if i not in first)
-            out.append(first + second + (tail,))
-    return tuple(out)
 
 
 def sort_basis_tuple(indices, degree_of):
@@ -619,29 +600,60 @@ def rref(rows):
 
     Pivoting is deterministic: first nonzero entry scanning columns left to
     right, rows top to bottom, so every caller inherits reproducible bases.
+    Entries come back int-or-Fraction.  A pivot of +-1 needs no division,
+    and each elimination touches only the nonzero entries of the pivot
+    row: they sit at or right of the pivot column, since every row below
+    the pivots found so far is zero further left.
     """
-    rows = [list(r) for r in rows]
+    rows = [[_exact(c) for c in r] for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        lead = prow[col]
+        if lead == -1:
+            prow = rows[r] = [-c for c in prow]
+        elif lead != 1:
+            inv = Fraction(1, lead) if lead.__class__ is int else 1 / lead
+            prow = rows[r] = [_exact(c * inv) if c else 0 for c in prow]
+        support = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
+        for i in range(nrows):
+            row = rows[i]
+            factor = row[col]
+            if factor and i != r:
+                for j, b in support:
+                    v = row[j] - factor * b
+                    if v.__class__ is not int and v.denominator == 1:
+                        v = v.numerator
+                    row[j] = v
         pivots.append(col)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
+
+
+def _kernel_from_rref(red, pivots, nvars):
+    """Kernel basis read off a reduced form whose first nvars columns are A."""
+    pivots = [col for col in pivots if col < nvars]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(nvars):
+        if f in pivot_set:
+            continue
+        vec = [0] * nvars
+        vec[f] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = -red[r][f]
+        basis.append(vec)
+    return basis
 
 
 def solve_dense(rows, rhs):
@@ -649,31 +661,25 @@ def solve_dense(rows, rhs):
 
     The particular solution sets every free variable to zero; the kernel
     basis has one vector per free variable in increasing column order.
+    One elimination of [A | b] gives both: the left block of its reduced
+    form is the reduced form of A.
     """
     nvars = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
+    kernel = _kernel_from_rref(red, pivots, nvars)
     if nvars in pivots:
-        return None, kernel_vectors(rows, nvars)
+        return None, kernel
     solution = [0] * nvars
     for r, col in enumerate(pivots):
         solution[col] = red[r][nvars]
-    return solution, kernel_vectors(rows, nvars)
+    return solution, kernel
 
 
 def kernel_vectors(rows, nvars):
     """Deterministic kernel basis of the matrix given by ``rows``."""
     red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(nvars) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * nvars
-        vec[f] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = -red[r][f]
-        basis.append(vec)
-    return basis
+    return _kernel_from_rref(red, pivots, nvars)
 
 
 def echelon_vectors(vectors, space) -> list:

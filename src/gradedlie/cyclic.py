@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, Scalar, Vector, as_scalar,
-    coordinates_in_span, kernel_vectors, rref,
+    GradedVectorSpace, LinearMap, MultilinearMap, Scalar, Vector, accumulate,
+    as_scalar, coordinates_in_span, kernel_vectors, rref,
 )
 from .dgla import (
     DgLieAlgebra, Splitting, Violation, compute_splitting, restrict_to_span,
@@ -29,9 +29,6 @@ __all__ = [
     "maurer_cartan_functional", "NormalizationError", "NormalizedSplitting",
     "normalize_splitting",
 ]
-
-_ZERO = Scalar(0)
-
 
 class CyclicPairing:
     """Sparse graded-symmetric bilinear form of total degree ``degree``.
@@ -89,17 +86,17 @@ class CyclicPairing:
         if i > j:
             di, dj = self.space.degrees[i], self.space.degrees[j]
             sign = -1 if (di % 2 and dj % 2) else 1
-            return self.table.get((j, i), _ZERO) * sign
-        return self.table.get((i, j), _ZERO)
+            return as_scalar(self.table.get((j, i), 0) * sign)
+        return as_scalar(self.table.get((i, j), 0))
 
     def evaluate(self, u: Vector, v: Vector) -> Scalar:
-        total = _ZERO
+        total = 0
         for i, cu in u.coeffs.items():
             for j, cv in v.coeffs.items():
                 val = self.value_indices(i, j)
                 if val:
                     total += cu * cv * val
-        return total
+        return as_scalar(total)
 
     def gram_rows(self):
         n = self.space.dim
@@ -190,30 +187,19 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
                 out.append(Violation("pairing_symmetric",
                                      (space.labels[i], space.labels[j]),
                                      f"defect {defect}"))
+    d_images = [A.d.apply(space.basis_vector(j)) for j in range(space.dim)]
     for i in range(space.dim):
         ei = space.basis_vector(i)
-        dei = A.d.apply(ei)
+        dei = d_images[i]
+        sign = (-1) ** (space.degrees[i] + 1)
         for j in range(space.dim):
             ej = space.basis_vector(j)
-            sign = (-1) ** (space.degrees[i] + 1)
-            defect = form.evaluate(dei, ej) - sign * form.evaluate(ei, A.d.apply(ej))
+            defect = form.evaluate(dei, ej) - sign * form.evaluate(ei, d_images[j])
             if defect:
                 out.append(Violation("pairing_closed",
                                      (space.labels[i], space.labels[j]),
                                      f"defect {defect}"))
-    for i in range(space.dim):
-        ei = space.basis_vector(i)
-        for j in range(space.dim):
-            ej = space.basis_vector(j)
-            left = A.bracket.evaluate([ei, ej])
-            for k in range(space.dim):
-                ek = space.basis_vector(k)
-                defect = form.evaluate(left, ek) - form.evaluate(ei, A.bracket.evaluate([ej, ek]))
-                if defect:
-                    out.append(Violation(
-                        "pairing_cyclic",
-                        (space.labels[i], space.labels[j], space.labels[k]),
-                        f"defect {defect}"))
+    out.extend(_cyclicity_violations(A.bracket, form))
 
     s = splitting if splitting is not None else compute_splitting(A)
     reps = s.h_vectors
@@ -222,14 +208,13 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     rank_l = form.rank()
 
     # consequences of closedness, asserted against the splitting
-    for k in s.k_vectors:
-        dk = A.d.apply(k)
+    for dk in s.dk_vectors:
         for x in reps:
             if form.evaluate(x, dk):
                 out.append(Violation("orthogonality_H_dK",
                                      (repr(x), repr(dk)), "nonzero pairing"))
-        for k2 in s.k_vectors:
-            if form.evaluate(dk, A.d.apply(k2)):
+        for k2, dk2 in zip(s.k_vectors, s.dk_vectors):
+            if form.evaluate(dk, dk2):
                 out.append(Violation("orthogonality_dK_dK",
                                      (repr(dk), repr(k2)), "nonzero pairing"))
 
@@ -246,6 +231,47 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     )
     Q.report = report
     return report
+
+
+def _cyclicity_violations(bracket: MultilinearMap, form: CyclicPairing) -> list:
+    """Every basis triple (i, j, k) where ([e_i, e_j], e_k) != (e_i, [e_j, e_k]).
+
+    The defect at (i, j, k) is the coefficient of k in
+    sum_a [e_i, e_j]_a * row_a  minus  sum_b row_i[b] * col_j^b,
+    where row_a lists the pairing values (e_a, e_b) and col_j^b lists, over
+    k, the coefficient of e_b in [e_j, e_k].  Both sums are sparse, so
+    only triples where one side is nonzero are visited, and the defect
+    can be nonzero nowhere else: the check stays exhaustive.  Violations
+    come out in (i, j, k) order.
+    """
+    space = form.space
+    dim = space.dim
+    rows = [Vector(space, {b: form.value_indices(a, b) for b in range(dim)})
+            for a in range(dim)]
+    cols = [{} for _ in range(dim)]
+    for j in range(dim):
+        for k in range(dim):
+            for b, c in bracket.evaluate_indices((j, k)).coeffs.items():
+                cols[j].setdefault(b, {})[k] = c
+    cols = [{b: Vector(space, col) for b, col in by_b.items()} for by_b in cols]
+    out = []
+    for i in range(dim):
+        row_i = rows[i].coeffs.items()
+        for j in range(dim):
+            acc = {}
+            for a, c in bracket.evaluate_indices((i, j)).coeffs.items():
+                accumulate(acc, rows[a], c)
+            col_j = cols[j]
+            for b, c in row_i:
+                col = col_j.get(b)
+                if col is not None:
+                    accumulate(acc, col, -c)
+            for k in sorted(acc):
+                out.append(Violation(
+                    "pairing_cyclic",
+                    (space.labels[i], space.labels[j], space.labels[k]),
+                    f"defect {acc[k]}"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +300,7 @@ class SymplecticRepresentation:
         self.actions = {g: [[as_scalar(c) for c in row] for row in mat]
                         for g, mat in actions.items()}
         for g in lie_labels:
-            mat = self.actions.setdefault(g, [[_ZERO] * m for _ in range(m)])
+            mat = self.actions.setdefault(g, [[0] * m for _ in range(m)])
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise ValueError(f"action matrix for {g} is not {m} x {m}")
         self.omega = [[as_scalar(c) for c in row] for row in omega]
@@ -312,7 +338,7 @@ class SymplecticRepresentation:
                     [self.lie_space.basis_vector(a), self.lie_space.basis_vector(b)])
                 expected = _mat_sub(_mat_mul(self.actions[a], self.actions[b]),
                                     _mat_mul(self.actions[b], self.actions[a]))
-                got = [[_ZERO] * m for _ in range(m)]
+                got = [[0] * m for _ in range(m)]
                 for idx, coeff in bracket_vec.coeffs.items():
                     mat = self.actions[glabels[idx]]
                     got = [[got[i][j] + coeff * mat[i][j] for j in range(m)]
@@ -332,7 +358,7 @@ class SymplecticRepresentation:
 
 def _mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), _ZERO)
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), 0)
              for j in range(p)] for i in range(n)]
 
 
@@ -386,7 +412,7 @@ def from_symplectic_representation(R: SymplecticRepresentation) -> QuasiCyclicDg
             coeffs = {}
             for k, g in enumerate(glabels):
                 val = sum((R.actions[g][t][i] * R.omega[t][j] for t in range(m)),
-                          _ZERO)
+                          0)
                 if val:
                     coeffs[dual[k]] = val
             if coeffs:
@@ -574,7 +600,7 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
                 post.append(Violation("h_perp_H", (A.space.labels[l], repr(x)),
                                       "homotopy image meets a representative"))
             lhs = sum((c * form.evaluate(result.h_vectors[t], x)
-                       for t, c in result.pi.apply(el).coeffs.items()), _ZERO)
+                       for t, c in result.pi.apply(el).coeffs.items()), 0)
             if lhs != form.evaluate(el, x):
                 post.append(Violation("pi_adjoint", (A.space.labels[l], repr(x)),
                                       f"{lhs} != {form.evaluate(el, x)}"))

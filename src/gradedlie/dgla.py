@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, Vector,
+    GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
     canonical_tuples, coordinates_in_span, echelon_vectors,
-    enumerate_shuffles, extend_to_complement, koszul_sign, parallel_map,
-    solve_dense,
+    extend_to_complement, kernel_vectors, koszul_sign, parallel_map, rref,
+    signed_shuffles, solve_dense,
 )
 
 __all__ = [
@@ -104,20 +104,29 @@ def validate_dgla(A: DgLieAlgebra):
                                  f"defect {defect}"))
 
     def jacobi_defect(idx):
-        degs = [space.degrees[i] for i in idx]
-        acc = space.zero()
-        for sigma in enumerate_shuffles(2, 1):
-            sign = koszul_sign(sigma, degs)
-            inner = A.bracket.evaluate_indices((idx[sigma[0]], idx[sigma[1]]))
-            term = A.bracket.evaluate([inner, space.basis_vector(idx[sigma[2]])])
-            acc = acc + term.scale(sign)
-        return idx, acc
+        return idx, _jacobi_defect(A.bracket, space, idx)
 
     for idx, defect in parallel_map(jacobi_defect, list(canonical_tuples(space, 3))):
-        if not defect.is_zero():
+        if defect:
             out.append(Violation("jacobi", tuple(space.labels[i] for i in idx),
-                                 f"defect {defect}"))
+                                 f"defect {Vector(space, defect)}"))
     return out
+
+
+def _jacobi_defect(bracket: MultilinearMap, space, idx) -> dict:
+    """Coefficients of the graded Jacobi sum at a basis triple.
+
+    The sum of sign * [[x, y], z] over the (2, 1)-shuffles, accumulated
+    into one dict; empty exactly when the identity holds there.
+    """
+    acc = {}
+    parities = tuple(space.degrees[i] % 2 for i in idx)
+    for sigma, sign in signed_shuffles(2, 1, parities):
+        inner = bracket.evaluate_indices((idx[sigma[0]], idx[sigma[1]]))
+        last = idx[sigma[2]]
+        for a, c in inner.coeffs.items():
+            accumulate(acc, bracket.evaluate_indices((a, last)), sign * c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +168,14 @@ class Splitting:
         if len(total) != L.dim:
             raise ValueError(
                 f"splitting has {len(total)} vectors for a dimension-{L.dim} algebra")
-        rows = [v.dense() for v in total]
-        from .core import rref
-        if len(rref(rows)[1]) != L.dim:
+        # one elimination of [T | I], T's columns being H + d(K) + K: its
+        # right block becomes T^-1, whose column l holds the coordinates
+        # of the basis vector e_l in the new basis
+        n = L.dim
+        rows = [[v.coeffs.get(j, 0) for v in total]
+                + [int(l == j) for l in range(n)] for j in range(n)]
+        red, pivots = rref(rows)
+        if pivots[:n] != list(range(n)):
             raise ValueError("H + d(K) + K do not span the algebra independently")
 
         self.h_space = GradedVectorSpace(
@@ -170,15 +184,14 @@ class Splitting:
                                {i: v for i, v in enumerate(self.h_vectors)})
         pi_cols, h_cols = {}, {}
         nh, nk = len(self.h_vectors), len(self.k_vectors)
-        for l in range(L.dim):
-            coords = coordinates_in_span(total, L.basis_vector(l))
+        for l in range(n):
+            coords = [red[r][n + l] for r in range(n)]
             pi_cols[l] = Vector(self.h_space,
                                 {i: coords[i] for i in range(nh)})
-            h_cols[l] = L.zero()
+            acc = {}
             for j in range(nk):
-                c = coords[nh + j]
-                if c:
-                    h_cols[l] = h_cols[l] - self.k_vectors[j].scale(c)
+                accumulate(acc, self.k_vectors[j], -coords[nh + j])
+            h_cols[l] = Vector(L, acc)
         self.pi = LinearMap(L, self.h_space, 0, pi_cols, check=False)
         self.h = LinearMap(L, L, -1, h_cols, check=False)
 
@@ -352,7 +365,6 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
         if deg == 0:
             given = [g for g in h0_vectors]
             stack = b_vecs + given
-            from .core import rref
             independent = len(rref([v.dense() for v in stack])[1]) == len(stack) if stack else True
             if not independent or len(stack) != len(z_vecs):
                 raise ValueError(
@@ -376,9 +388,8 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
             Q = _solve_retraction(len(z_vecs), targets, act_src, act_tgt)
             if Q is None:
                 return _build_obstruction(A, h0_vectors, deg, z_vecs, b_vecs)
-            from .core import kernel_vectors as _kv
-            for coords in _kv([[Q[b][z] for z in range(len(z_vecs))]
-                               for b in range(len(b_vecs))], len(z_vecs)):
+            for coords in kernel_vectors([[Q[b][z] for z in range(len(z_vecs))]
+                                          for b in range(len(b_vecs))], len(z_vecs)):
                 vec = L.zero()
                 for z, c in enumerate(coords):
                     if c:
@@ -409,9 +420,8 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
                     n_unknowns=len(z_vecs) * len(l_vecs),
                     message=("no invariant complement of the cocycles in degree "
                              f"{deg}"))
-            from .core import kernel_vectors as _kv
-            for coords in _kv([[P[z][l] for l in range(len(l_vecs))]
-                               for z in range(len(z_vecs))], len(l_vecs)):
+            for coords in kernel_vectors([[P[z][l] for l in range(len(l_vecs))]
+                                          for z in range(len(z_vecs))], len(l_vecs)):
                 vec = L.zero()
                 for l, c in enumerate(coords):
                     if c:
@@ -439,7 +449,6 @@ def _splitting_is_invariant(A, s: Splitting, h0_vectors) -> bool:
     if len(h0_vectors) != len(h0_deg):
         return False
     stack = [v.dense() for v in h0_vectors] + [v.dense() for v in h0_deg]
-    from .core import rref
     if len(rref(stack)[1]) != len(h0_vectors):
         return False
     for g in h0_vectors:
@@ -521,15 +530,11 @@ def cohomology(A: DgLieAlgebra, splitting: Splitting | None = None) -> Cohomolog
             bracket.set_entry(idx, value)
     violations = []
     for idx in canonical_tuples(H, 3):
-        degs = [H.degrees[i] for i in idx]
-        acc = H.zero()
-        for sigma in enumerate_shuffles(2, 1):
-            sign = koszul_sign(sigma, degs)
-            inner = bracket.evaluate_indices((idx[sigma[0]], idx[sigma[1]]))
-            acc = acc + bracket.evaluate([inner, H.basis_vector(idx[sigma[2]])]).scale(sign)
-        if not acc.is_zero():
+        defect = _jacobi_defect(bracket, H, idx)
+        if defect:
             violations.append(Violation("jacobi_induced",
-                                        tuple(H.labels[i] for i in idx), f"defect {acc}"))
+                                        tuple(H.labels[i] for i in idx),
+                                        f"defect {Vector(H, defect)}"))
     dims = {}
     for deg in H.degrees_present():
         dims[deg] = len(H.indices_of_degree(deg))

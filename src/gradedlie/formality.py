@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
-    LinearMap, MultilinearMap, Vector, canonical_tuples, coordinates_in_span,
-    echelon_vectors, enumerate_shuffles, kernel_vectors, parallel_map,
-    solve_dense,
+    LinearMap, MultilinearMap, Vector, as_scalar, canonical_tuples,
+    coordinates_in_span, echelon_vectors, enumerate_shuffles, kernel_vectors,
+    parallel_map, solve_dense,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
@@ -162,9 +162,14 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
     do not imply formality).  The scan order is deterministic: diagonal
     triples (v, v, v) in basis order first -- the classical obstructions
     -- then the remaining non-decreasing index triples, then all other
-    ordered triples.
+    ordered triples.  Every representative must be a cocycle; that is
+    checked before the scan, so a certificate found early never rests on
+    a splitting that a later triple would have rejected.
     """
     reps = s.h_vectors
+    for v in reps:
+        if not A.d.apply(v).is_zero():
+            raise ValueError(f"triple-product input is not a cocycle: {v}")
     indices = range(len(reps))
     seen = set()
     candidates = []
@@ -179,20 +184,15 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
         if t not in seen:
             candidates.append(t)
 
-    def examine(t):
+    for t in candidates:
         product = massey_triple(A, s, reps[t[0]], reps[t[1]], reps[t[2]])
-        if product is None or not product.nonzero_mod_indeterminacy():
-            return None
-        return NonFormalityCertificate(
-            kind="massey-triple",
-            triple=tuple(repr(reps[i]) for i in t),
-            class_vector=product.class_vector,
-            indeterminacy=product.indeterminacy,
-            massey=product)
-
-    for certificate in parallel_map(examine, candidates):
-        if certificate is not None:
-            return certificate
+        if product is not None and product.nonzero_mod_indeterminacy():
+            return NonFormalityCertificate(
+                kind="massey-triple",
+                triple=tuple(repr(reps[i]) for i in t),
+                class_vector=product.class_vector,
+                indeterminacy=product.indeterminacy,
+                massey=product)
     return None
 
 
@@ -244,25 +244,25 @@ class PairingFunctional:
     kind: str
     table: dict = field(default_factory=dict)
 
-    def value_indices(self, idx) -> Fraction:
+    def value_indices(self, idx):
         if len(idx) != self.total_arity:
             raise ValueError(
                 f"expected {self.total_arity} arguments, got {len(idx)}")
         j = self.split[0]
         key = tuple(sorted(idx[:j])) + tuple(sorted(idx[j:]))
-        return self.table.get(key, Fraction(0))
+        return as_scalar(self.table.get(key, 0))
 
-    def evaluate(self, args) -> Fraction:
+    def evaluate(self, args):
         """Multilinear evaluation at vectors of the class space."""
         supports = [sorted(v.coeffs.items()) for v in args]
-        total = Fraction(0)
+        total = 0
         for combo in itertools.product(*supports):
-            coeff = Fraction(1)
+            coeff = 1
             for _, c in combo:
                 coeff *= c
             if coeff:
                 total += coeff * self.value_indices(tuple(i for i, _ in combo))
-        return total
+        return as_scalar(total)
 
 
 def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
@@ -618,7 +618,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
             func = compute_I(T, Q.pairing, q, j)
             for idx in itertools.combinations_with_replacement(h1, q):
                 for g in g_classes:
-                    total = Fraction(0)
+                    total = 0
                     for slot in range(q):
                         total += func.evaluate(acted(idx, slot, g))
                     assert total == 0, (
@@ -648,7 +648,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         for j, func in f_funcs.items():
             for idx in itertools.combinations_with_replacement(h1, p + 1):
                 for g in g_classes:
-                    total = Fraction(0)
+                    total = 0
                     for slot in range(p + 1):
                         total += func.evaluate(acted(idx, slot, g))
                     assert total == 0, (
@@ -659,7 +659,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         def solve_tuple(idx, p=p, i_funcs=i_funcs, f_funcs=f_funcs):
             rhs = []
             for t in h1:
-                total = Fraction(0)
+                total = 0
                 for j in range(2, p):
                     for sigma in enumerate_shuffles(j, p - j):
                         args = tuple(idx[x] for x in sigma) + (t,)

@@ -34,15 +34,11 @@ def shuffles_by_filter(k, m):
     return out
 
 
-def shuffles_with_tail_by_filter(j, m):
-    """Block sizes (j, m, 1) with the first two blocks increasing."""
-    n = j + m + 1
-    out = []
-    for perm in itertools.permutations(range(n)):
-        ok = all(perm[i] < perm[i + 1] for i in range(n - 1) if i + 1 not in (j, j + m))
-        if ok:
-            out.append(perm)
-    return out
+def assert_exact_scalar(c):
+    """The package's scalar invariant: an int, or a Fraction whose
+    denominator is not 1; never a float."""
+    assert type(c) in (int, Fraction), c
+    assert type(c) is int or c.denominator != 1, c
 
 
 def transfer_operation_naive(algebra, splitting, kind, args):
@@ -152,3 +148,96 @@ def permute_basis(Q, perm):
     for (i, j), c in Q.pairing.entries():
         form.set_entry((space.labels[i], space.labels[j]), c)
     return QuasiCyclicDgla(DgLieAlgebra(new, d, bracket), form)
+
+
+def rref_naive(rows):
+    """Gauss-Jordan elimination in plain Fractions: every pivot row is
+    divided through, every row is rebuilt whole, nothing is normalized.
+    Same pivot rule as the production code (first nonzero entry, columns
+    left to right, rows top to bottom), so the reduced forms must agree."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [c / rows[r][col] for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def solve_naive(rows, rhs):
+    """(solution with free variables 0, or None; kernel basis), by two
+    separate naive eliminations."""
+    nvars = len(rows[0]) if rows else 0
+    red, pivots = rref_naive([list(r) + [b] for r, b in zip(rows, rhs)])
+    solution = None
+    if nvars not in pivots:
+        solution = [Fraction(0)] * nvars
+        for r, col in enumerate(pivots):
+            solution[col] = red[r][nvars]
+    red, pivots = rref_naive(rows)
+    kernel = []
+    for f in range(nvars):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * nvars
+        vec[f] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -red[r][f]
+        kernel.append(vec)
+    return solution, kernel
+
+
+def splitting_maps_naive(splitting):
+    """The projection and homotopy columns of a splitting, one solve per
+    basis vector: e_l = sum_t x_t v_t over v = H + d(K) + K, then
+    pi(e_l) = x restricted to H and h(e_l) = -sum_j x_(K, j) k_j."""
+    L = splitting.algebra.space
+    total = splitting.h_vectors + splitting.dk_vectors + splitting.k_vectors
+    nh, nk = len(splitting.h_vectors), len(splitting.k_vectors)
+    rows = [[v.coeffs.get(j, 0) for v in total] for j in range(L.dim)]
+    pi_cols, h_cols = {}, {}
+    for l in range(L.dim):
+        coords, _ = solve_naive(rows, [Fraction(int(j == l)) for j in range(L.dim)])
+        assert coords is not None
+        pi = {i: coords[i] for i in range(nh) if coords[i]}
+        if pi:
+            pi_cols[l] = pi
+        h = {}
+        for j in range(nk):
+            for i, c in splitting.k_vectors[j].coeffs.items():
+                h[i] = h.get(i, Fraction(0)) - coords[nh + j] * c
+        h = {i: c for i, c in h.items() if c}
+        if h:
+            h_cols[l] = h
+    return pi_cols, h_cols
+
+
+def pairing_cyclic_violations_naive(Q):
+    """([e_i, e_j], e_k) - (e_i, [e_j, e_k]) on all dim^3 ordered basis
+    triples, as (labels, defect text) in (i, j, k) order."""
+    A, form = Q.algebra, Q.pairing
+    space = A.space
+    out = []
+    for i in range(space.dim):
+        ei = space.basis_vector(i)
+        for j in range(space.dim):
+            ej = space.basis_vector(j)
+            left = A.bracket.evaluate([ei, ej])
+            for k in range(space.dim):
+                ek = space.basis_vector(k)
+                defect = (form.evaluate(left, ek)
+                          - form.evaluate(ei, A.bracket.evaluate([ej, ek])))
+                if defect:
+                    out.append(((space.labels[i], space.labels[j],
+                                 space.labels[k]), f"defect {defect}"))
+    return out

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from gradedlie.core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
     canonical_tuples, coordinates_in_span, echelon_vectors, enumerate_shuffles,
-    enumerate_shuffles_with_tail, kernel_vectors, koszul_sign, rref,
-    solve_dense, sort_basis_tuple, worker_count,
+    kernel_vectors, koszul_sign, rref, solve_dense, sort_basis_tuple,
+    worker_count,
 )
 
-from oracles import shuffles_by_filter, shuffles_with_tail_by_filter, sign_by_inversions
+from oracles import (
+    assert_exact_scalar, rref_naive, shuffles_by_filter, sign_by_inversions,
+    solve_naive,
+)
 
 
 # --- scalars ---------------------------------------------------------------
@@ -92,22 +95,6 @@ def test_shuffle_counts():
     assert len(enumerate_shuffles(2, 2)) == 6
     assert len(enumerate_shuffles(1, 3)) == 4
     assert enumerate_shuffles(1, 0) == ((0,),)
-
-
-def test_tail_shuffles_match_brute_filter():
-    for j in range(1, 4):
-        for m in range(0, 3):
-            assert sorted(enumerate_shuffles_with_tail(j, m)) == sorted(
-                shuffles_with_tail_by_filter(j, m))
-
-
-def test_tail_shuffle_count():
-    # (p+1) * C(p, j) permutations for block sizes (j, p-j, 1)
-    for j in range(1, 4):
-        for m in range(0, 3):
-            p = j + m
-            import math
-            assert len(enumerate_shuffles_with_tail(j, m)) == (p + 1) * math.comb(p, j)
 
 
 # --- canonical tuples -------------------------------------------------------
@@ -309,9 +296,8 @@ def ref_evaluate(ref_table, degrees, args):
 def assert_exact(vec):
     """Coefficients are int, or Fraction only off denominator 1; no zeros."""
     for c in vec.coeffs.values():
-        assert type(c) in (int, Fraction), c
+        assert_exact_scalar(c)
         assert c != 0
-        assert type(c) is int or c.denominator != 1, c
 
 
 @st.composite
@@ -502,6 +488,38 @@ def test_solve_and_kernel_roundtrip():
                        for i in range(nrows))
         # rank-nullity
         assert len(kernel) == ncols - len(rref(A)[1])
+
+
+# sparse, mostly +-1 entries, as in the splitting and retraction systems,
+# with Fraction(k, 1) inputs mixed in
+MATRIX_ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.sampled_from([1, -1, Fraction(2, 1)]), SCALARS)
+
+
+@st.composite
+def matrices(draw):
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    return [[draw(MATRIX_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_agrees_with_the_plain_fraction_reference(rows, data):
+    before = [list(r) for r in rows]
+    red, pivots = rref(rows)
+    assert (red, pivots) == rref_naive(rows)
+    for row in red:
+        for c in row:
+            assert_exact_scalar(c)
+    ncols = len(rows[0]) if rows else 0
+    rhs = [data.draw(MATRIX_ENTRIES) for _ in rows]
+    solution, kernel = solve_dense(rows, rhs)
+    assert (solution, kernel) == solve_naive(rows, rhs)
+    assert kernel == kernel_vectors(rows, ncols)
+    for c in (solution or []) + [c for vec in kernel for c in vec]:
+        assert_exact_scalar(c)
+    assert rows == before
 
 
 def test_solve_reports_inconsistency():

@@ -9,7 +9,7 @@ from gradedlie.core import coordinates_in_span
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
     from_symplectic_representation, maurer_cartan_functional,
-    normalize_splitting, validate_pairing,
+    _cyclicity_violations, normalize_splitting, validate_pairing,
 )
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
 from gradedlie.corpus import (
@@ -18,7 +18,9 @@ from gradedlie.corpus import (
     weighted_pair,
 )
 
-from oracles import build_algebra
+from oracles import (
+    assert_exact_scalar, build_algebra, pairing_cyclic_violations_naive,
+)
 
 
 # --- pairing storage ----------------------------------------------------------
@@ -304,3 +306,44 @@ def test_perturbations_are_caught_or_legitimately_valid():
         elif not rep.is_cyclic:
             caught += 1  # e.g. a rank drop without an identity failure
     assert caught >= 6
+
+
+# --- the sparse cyclicity check against the dense reference -------------------
+
+CORPUS = standard_corpus()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_cyclicity_violations_agree_with_the_dense_triple_loop(named, edits, rng):
+    name, Q = named
+    for _ in range(edits):
+        name, Q = perturb_quasi_cyclic(Q, rng)
+    if Q.algebra.d.compose(Q.algebra.d).is_zero():
+        violations = validate_pairing(Q).violations
+    else:  # no splitting exists; check the cyclicity pass on its own
+        violations = _cyclicity_violations(Q.algebra.bracket, Q.pairing)
+    got = [(v.where, v.detail) for v in violations
+           if v.identity == "pairing_cyclic"]
+    assert got == pairing_cyclic_violations_naive(Q), name
+    V = Q.space
+    for i in range(V.dim):
+        for j in range(V.dim):
+            assert_exact_scalar(Q.pairing.value_indices(i, j))
+            assert_exact_scalar(Q.pairing.evaluate(
+                V.basis_vector(i).scale(rng.choice([1, Fraction(1, 2)])),
+                V.basis_vector(j).scale(2)))
+
+
+def test_a_bracket_edit_is_reported_on_every_triple_it_breaks():
+    rng = random.Random(3)
+    reported = 0
+    for _ in range(40):
+        desc, P = perturb_quasi_cyclic(nocontraction(), rng)
+        if not desc.startswith("bracket"):
+            continue
+        got = [(v.where, v.detail) for v in validate_pairing(P).violations
+               if v.identity == "pairing_cyclic"]
+        assert got == pairing_cyclic_violations_naive(P), desc
+        reported += len(got)
+    assert reported

@@ -1,6 +1,9 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gradedlie.core import coordinates_in_span
 from gradedlie.dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, cohomology,
@@ -11,7 +14,9 @@ from gradedlie.corpus import (
     nocontraction, noformal_degree3, standard_corpus, weighted_pair,
 )
 
-from oracles import build_algebra
+from oracles import (
+    assert_exact_scalar, build_algebra, rref_naive, splitting_maps_naive,
+)
 
 
 # --- axiom validation ---------------------------------------------------------
@@ -98,6 +103,52 @@ def test_splitting_rejects_wrong_count_and_dependence():
     with pytest.raises(ValueError):
         Splitting(A, h[:3] + [V.vector({"a": 1, "x": 1})],
                   [V.basis_vector("b"), V.basis_vector("p")])
+
+
+CORPUS = standard_corpus()
+TILTS = st.one_of(st.integers(-2, 2),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def tilted_splitting_vectors(s, draw):
+    """H and K of a splitting, mixed triangularly within each degree:
+    h' = c h + (coboundaries), k' = c k + (H, d(K), earlier K).  With a
+    nonzero c this stays a splitting; c = 0 makes it degenerate."""
+    def combine(vec, scale, others):
+        out = vec.scale(scale)
+        for w in others:
+            if w.degree() == vec.degree():
+                out = out + w.scale(draw(TILTS))
+        return out
+    h = [combine(v, draw(TILTS), s.dk_vectors) for v in s.h_vectors]
+    k = []
+    for j, v in enumerate(s.k_vectors):
+        k.append(combine(v, draw(TILTS),
+                         s.h_vectors + s.dk_vectors + s.k_vectors[:j]))
+    return h, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_splitting_maps_agree_with_one_solve_per_basis_vector(data):
+    name, Q = data.draw(st.sampled_from(CORPUS))
+    A = Q.algebra
+    h, k = tilted_splitting_vectors(compute_splitting(A), data.draw)
+    if any(v.is_zero() for v in h + k):
+        return
+    rows = [v.dense() for v in h + [A.d.apply(v) for v in k] + k]
+    if len(rref_naive(rows)[1]) < A.space.dim:
+        with pytest.raises(ValueError, match="do not span"):
+            Splitting(A, h, k)
+        return
+    s = Splitting(A, h, k)
+    pi_cols, h_cols = splitting_maps_naive(s)
+    assert {l: v.coeffs for l, v in s.pi.columns.items()} == pi_cols, name
+    assert {l: v.coeffs for l, v in s.h.columns.items()} == h_cols, name
+    for v in list(s.pi.columns.values()) + list(s.h.columns.values()):
+        for c in v.coeffs.values():
+            assert_exact_scalar(c)
+    assert verify_splitting(s) == [], name
 
 
 def test_non_cocycle_representative_fails_verification():

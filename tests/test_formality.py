@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from gradedlie.corpus import (
 )
 from gradedlie import from_symplectic_representation, normalize_splitting
 
-from oracles import build_algebra
+from oracles import assert_exact_scalar, build_algebra
 
 
 def canonical(Q):
@@ -371,3 +372,55 @@ def test_lemma_failure_is_reported_as_an_implementation_bug(monkeypatch):
     monkeypatch.setattr(formality, "compute_I", hollow)
     with pytest.raises(AssertionError, match="implementation bug"):
         build_formality_witness(Q, s, 4)
+
+
+def test_pairing_functionals_return_int_or_non_integral_fraction():
+    Q = weighted_pair()
+    A, s = canonical(Q)
+    T = homotopy_transfer(A, s, 4)
+    H = s.h_space
+    args = [H.basis_vector(i).scale(c)
+            for i in H.indices_of_degree(1) for c in (1, Fraction(1, 2), 2)]
+    seen = set()
+    for p, j in ((2, 1), (4, 2), (5, 2)):
+        func = compute_I(T, Q.pairing, p, j)
+        values = [func.value_indices((0,) * p)]
+        values += [func.value_indices(idx) for idx in func.table]
+        for combo in itertools.product(args, repeat=p):
+            values.append(func.evaluate(list(combo)))
+        for value in values:
+            assert_exact_scalar(value)
+            seen.add(type(value))
+    assert seen == {int, Fraction}
+
+
+def test_scan_stops_at_the_first_certificate(monkeypatch):
+    A, s = canonical(noformal_degree3())
+    calls = []
+    original = formality.massey_triple
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+    monkeypatch.setattr(formality, "massey_triple", counted)
+    certificate = detect_nonformality(A, s)
+    assert certificate.triple == ("a", "a", "a")
+    assert len(s.h_vectors) ** 3 > 1
+    assert len(calls) == 1
+
+
+def test_scan_rejects_a_non_cocycle_representative_before_any_certificate():
+    # nocontraction plus c -> dc in degrees 2, 3, split with c among the
+    # representatives: (x, x, x) certifies before the scan reaches c
+    A = build_algebra(
+        [("a", 0), ("b", 0), ("x", 1), ("y", 1), ("p", 1), ("db", 1),
+         ("z", 2), ("dp", 2), ("c", 2), ("dc", 3)],
+        {"b": {"db": 1}, "p": {"dp": 1}, "c": {"dc": 1}},
+        {("a", "x"): {"db": -1}, ("a", "p"): {"y": 1}, ("x", "x"): {"dp": 1},
+         ("p", "x"): {"z": 1}, ("b", "x"): {"y": 1}})
+    V = A.space
+    s = Splitting(A, [V.basis_vector(l) for l in ("a", "x", "y", "z", "c", "dc")],
+                  [V.basis_vector("b"), V.basis_vector("p")])
+    assert massey_triple(A, s, "x", "x", "x").nonzero_mod_indeterminacy()
+    with pytest.raises(ValueError, match="not a cocycle: c"):
+        detect_nonformality(A, s)
