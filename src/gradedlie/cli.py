@@ -13,9 +13,11 @@ Reports render as text (default) or as stable JSON (``--format
 structured``).  Exit codes: 0 for every verdict except a FAIL report or
 a NON-FORMAL verdict from ``formality``, which exit 1; unreadable input
 (parse errors, schema violations, missing files, ill-posed queries)
-exits 2.  ``massey`` is an evidence query: finding a certificate still
-exits 0.  The environment variable ``LF_THREADS`` caps internal
-parallelism (0 or unset picks a sensible default).
+exits 2; an internal error (a failed self-check, raised as an
+``AssertionError``) prints one line on stderr and exits 3.  ``massey``
+is an evidence query: finding a certificate still exits 0.  The
+environment variable ``LF_THREADS`` caps internal parallelism (0 or
+unset picks a sensible default).
 """
 
 from __future__ import annotations
@@ -83,15 +85,20 @@ def _splitting_for(doc, A):
 
 
 def _validate_doc(doc):
-    A = document_to_algebra(doc)
+    # one algebra for the checks, the splitting and the pairing
+    Q = None
+    if doc.pairing_degree is not None:
+        Q = document_to_quasi_cyclic(doc)
+        A = Q.algebra
+    else:
+        A = document_to_algebra(doc)
     findings = [_violation_finding(v) for v in validate_dgla(A)]
     splitting = document_splitting(doc, A)
     if splitting is not None:
         findings.extend(_violation_finding(v)
                         for v in verify_splitting(splitting))
     quasi_cyclic = True
-    if doc.pairing_degree is not None:
-        Q = document_to_quasi_cyclic(doc)
+    if Q is not None:
         report = validate_pairing(Q, splitting)
         findings.append({"kind": "pairing-status", "text": report.status()})
         findings.extend(_violation_finding(v) for v in report.violations)
@@ -420,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 verdict computed (PASS, INCONCLUSIVE, "
                "REJECTED, FORMAL-UP-TO-N, and NON-FORMAL outside "
                "'formality'); 1 FAIL, or NON-FORMAL from 'formality'; "
-               "2 unreadable input. LF_THREADS caps internal parallelism "
-               "(0 = auto).")
+               "2 unreadable input; 3 internal error. LF_THREADS caps "
+               "internal parallelism (0 = auto).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, needs_file=True, arity=False,
@@ -465,6 +472,13 @@ def main(argv=None) -> int:
     except (ParseError, DocumentError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except AssertionError as error:
+        # the library's signal that one of its own checks failed
+        text = " ".join(str(error).split()) or "assertion failed"
+        if not text.startswith("internal error"):
+            text = f"internal error: {text}"
+        print(text, file=sys.stderr)
+        return 3
     report.seconds = time.perf_counter() - started
     _emit(_render(report, args.format))
     return _exit_code(report)

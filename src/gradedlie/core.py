@@ -26,6 +26,7 @@ __all__ = [
     "Scalar", "as_scalar", "format_scalar",
     "GradedVectorSpace", "Vector", "LinearMap", "MultilinearMap",
     "koszul_sign", "enumerate_shuffles", "signed_shuffles",
+    "repeat_pattern", "shuffle_splits", "half_sum_splits",
     "sort_basis_tuple", "accumulate",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
@@ -63,6 +64,24 @@ def format_scalar(x) -> str:
 # Signs and shuffles
 # ---------------------------------------------------------------------------
 
+def _koszul_sort(seq, degree_of):
+    """Stable insertion sort of ``seq`` with the Koszul sign it picks up.
+
+    Returns ``(sorted list, sign)``.  Each adjacent swap of elements of
+    degrees a, b contributes ``-(-1)**(a*b)``.
+    """
+    seq = list(seq)
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            if degree_of(seq[j - 1]) % 2 == 0 or degree_of(seq[j]) % 2 == 0:
+                sign = -sign
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            j -= 1
+    return seq, sign
+
+
 def koszul_sign(perm, degrees) -> int:
     """Sign relating a permuted wedge of graded elements to the ordered one.
 
@@ -78,15 +97,7 @@ def koszul_sign(perm, degrees) -> int:
         raise ValueError("permutation and degree list have different lengths")
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    sign = 1
-    for i in range(1, n):
-        j = i
-        while j > 0 and perm[j - 1] > perm[j]:
-            if degrees[perm[j - 1]] % 2 == 0 or degrees[perm[j]] % 2 == 0:
-                sign = -sign
-            perm[j - 1], perm[j] = perm[j], perm[j - 1]
-            j -= 1
-    return sign
+    return _koszul_sort(perm, degrees.__getitem__)[1]
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +129,98 @@ def signed_shuffles(k: int, m: int, parities: tuple) -> tuple:
                  for sigma in enumerate_shuffles(k, m))
 
 
+def repeat_pattern(idx) -> tuple:
+    """Which entries of a sorted tuple equal the one before them.
+
+    With the parities, this is all :func:`shuffle_splits` needs to know
+    about the tuple.
+    """
+    return tuple([a == b for a, b in zip(idx, idx[1:])])
+
+
+def _run_ids(repeats) -> list:
+    """Position -> index of its run of equal entries."""
+    run = [0]
+    for same in repeats:
+        run.append(run[-1] if same else run[-1] + 1)
+    return run
+
+
+@lru_cache(maxsize=None)
+def shuffle_splits(k: int, m: int, parities: tuple, repeats: tuple,
+                   twisted: bool = False) -> tuple:
+    """The distinct terms of a (k, m)-shuffle sum over a sorted tuple.
+
+    A shuffle sum applies some F(first block, second block) to each
+    (k, m)-shuffle of a sorted tuple, times the shuffle's sign.  Both
+    blocks come out sorted, so shuffles that pick the same sub-multiset
+    for the first block give the same term: they merge into one, with
+    their signs summed, and terms whose signs cancel are dropped.  Only
+    the tuple's ``parities`` and ``repeat_pattern`` matter, so the terms
+    are computed once per pattern, as ``(first positions, second
+    positions, coefficient)`` with the positions of one of the merged
+    shuffles.
+
+    The sign is the Koszul sign, or with ``twisted`` that sign times
+    (-1)^((1 - n + k)(k + parity of the first block)), n = k + m: the
+    sign of a bracket of two L-infinity blocks, as in the transfer
+    recursion and the morphism relation.  The twist is trivial at n = 2
+    and the twisted sign is +1 on all-odd inputs; both are asserted.
+    """
+    n = k + m
+    run = _run_ids(repeats)
+    merged = {}
+    for sigma, sign in signed_shuffles(k, m, parities):
+        if twisted:
+            alpha = (1 - n + k) * (k + sum(parities[s] for s in sigma[:k]))
+            assert n != 2 or alpha % 2 == 0, \
+                "internal error: arity-2 side sign must vanish"
+            if alpha % 2:
+                sign = -sign
+            assert sign == 1 or not all(parities), \
+                "internal error: transfer signs must collapse to +1 on " \
+                "all-odd inputs"
+        key = tuple(run[s] for s in sigma[:k])
+        if key in merged:
+            merged[key][2] += sign
+        else:
+            merged[key] = [sigma[:k], sigma[k:], sign]
+    return tuple((first, second, c) for first, second, c in merged.values()
+                 if c)
+
+
+@lru_cache(maxsize=None)
+def half_sum_splits(n: int, parities: tuple, repeats: tuple) -> tuple:
+    """The distinct terms of half the symmetric two-block shuffle sum.
+
+    The sum runs over every k = 1..n-1 and is twisted as in
+    :func:`shuffle_splits`, with a term G(F_k(first), F_(n-k)(second))
+    that a block swap leaves unchanged: G is a stored graded-antisymmetric
+    bracket and each F_k a stored map of degree 1 - k, so the term at k
+    and its swap at n - k are equal.  Each pair is therefore kept once at
+    full weight: every k < n - k, and for k = n - k the split whose first
+    block sorts before its second.  A split into two equal halves is its
+    own swap and keeps weight 1/2.  Returned as ``(k, terms)`` pairs for
+    k = 1..n//2, ``terms`` as in :func:`shuffle_splits`.
+    """
+    run = _run_ids(repeats)
+    out = []
+    for k in range(1, n // 2 + 1):
+        terms = shuffle_splits(k, n - k, parities, repeats, True)
+        if 2 * k == n:
+            kept = []
+            for first, second, c in terms:
+                left = [run[s] for s in first]
+                right = [run[s] for s in second]
+                if left < right:
+                    kept.append((first, second, c))
+                elif left == right:
+                    kept.append((first, second, _exact(Fraction(c, 2))))
+            terms = tuple(kept)
+        out.append((k, terms))
+    return tuple(out)
+
+
 def sort_basis_tuple(indices, degree_of):
     """Canonicalize a tuple of basis indices by stable insertion sort.
 
@@ -125,15 +228,7 @@ def sort_basis_tuple(indices, degree_of):
     Koszul factors as :func:`koszul_sign`, or ``(None, 0)`` when the tuple
     repeats an even-degree index and is therefore forced to vanish.
     """
-    seq = list(indices)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            if degree_of(seq[j - 1]) % 2 == 0 or degree_of(seq[j]) % 2 == 0:
-                sign = -sign
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            j -= 1
+    seq, sign = _koszul_sort(indices, degree_of)
     for a, b in zip(seq, seq[1:]):
         if a == b and degree_of(a) % 2 == 0:
             return None, 0

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
-    LinearMap, MultilinearMap, Vector, as_scalar, canonical_tuples,
-    coordinates_in_span, echelon_vectors, enumerate_shuffles, kernel_vectors,
-    parallel_map, solve_dense,
+    LinearMap, MultilinearMap, Vector, accumulate, as_scalar, canonical_tuples,
+    coordinates_in_span, echelon_vectors, half_sum_splits, kernel_vectors,
+    parallel_map, repeat_pattern, shuffle_splits, solve_dense,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
@@ -566,22 +566,25 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                     f"found {boundary}")
                 checked += 1
         for idx in itertools.combinations_with_replacement(h1, p):
-            # all entries have odd degree, so every shuffle sign is +1
-            reduced = A.space.zero()
-            for k in range(2, p - 1):
+            # half the sum over the middle splits 2 <= k <= p - 2; all
+            # entries have odd degree, so every shuffle sign is +1
+            reduced = {}
+            for k, terms in half_sum_splits(p, (1,) * p, repeat_pattern(idx)):
+                if k == 1:
+                    continue
                 left_map = T.inclusion.component(k)
                 right_map = T.inclusion.component(p - k)
-                for sigma in enumerate_shuffles(k, p - k):
+                for first, second, c in terms:
                     lv = left_map.evaluate_indices(
-                        tuple(idx[x] for x in sigma[:k]))
+                        tuple([idx[x] for x in first]))
                     if lv.is_zero():
                         continue
                     rv = right_map.evaluate_indices(
-                        tuple(idx[x] for x in sigma[k:]))
+                        tuple([idx[x] for x in second]))
                     if rv.is_zero():
                         continue
-                    reduced = reduced + A.bracket.evaluate([lv, rv])
-            reduced_class = s.pi.apply(reduced.scale(_HALF))
+                    accumulate(reduced, A.bracket.evaluate([lv, rv]), c)
+            reduced_class = s.pi.apply(Vector(A.space, reduced))
             full = T.minimal.operation(p).evaluate_indices(idx)
             assert reduced_class == full, (
                 f"middle-splits evaluation of the arity-{p} bracket "
@@ -657,15 +660,18 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                         f"under {g}: sum {total}")
 
         def solve_tuple(idx, p=p, i_funcs=i_funcs, f_funcs=f_funcs):
-            rhs = []
-            for t in h1:
-                total = 0
-                for j in range(2, p):
-                    for sigma in enumerate_shuffles(j, p - j):
-                        args = tuple(idx[x] for x in sigma) + (t,)
-                        total += (i_funcs[j].value_indices(args)
-                                  - f_funcs[j].value_indices(args))
-                rhs.append(total * _HALF)
+            totals = [0] * len(h1)
+            repeats = repeat_pattern(idx)
+            for j in range(2, p):
+                i_func, f_func = i_funcs[j], f_funcs[j]
+                for first, second, c in shuffle_splits(j, p - j, (1,) * p,
+                                                       repeats):
+                    head = tuple([idx[x] for x in first + second])
+                    for col, t in enumerate(h1):
+                        args = head + (t,)
+                        totals[col] += c * (i_func.value_indices(args)
+                                            - f_func.value_indices(args))
+            rhs = [total * _HALF for total in totals]
             solution, kernel = solve_dense(gram, rhs)
             assert solution is not None and not kernel, (
                 f"coefficient solve at {tuple(H.labels[i] for i in idx)} "
@@ -706,22 +712,22 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     for q in range(3, N + 1):
         for idx in itertools.combinations_with_replacement(h1, q):
             lhs = T.minimal.operation(q).evaluate_indices(idx)
-            rhs = H.zero()
-            for j in range(1, q):
-                for sigma in enumerate_shuffles(j, q - j):
+            rhs = {}
+            for j, terms in half_sum_splits(q, (1,) * q, repeat_pattern(idx)):
+                for first, second, c in terms:
                     lv = _f_value(H, f_tables, j,
-                                  tuple(idx[x] for x in sigma[:j]))
+                                  tuple([idx[x] for x in first]))
                     if lv.is_zero():
                         continue
                     rv = _f_value(H, f_tables, q - j,
-                                  tuple(idx[x] for x in sigma[j:]))
+                                  tuple([idx[x] for x in second]))
                     if rv.is_zero():
                         continue
-                    rhs = rhs + bracket2.evaluate([lv, rv])
-            assert lhs == rhs.scale(_HALF), (
+                    accumulate(rhs, bracket2.evaluate([lv, rv]), c)
+            rhs = Vector(H, rhs)
+            assert lhs == rhs, (
                 f"witness bracket relation fails at arity {q} on "
-                f"{tuple(H.labels[i] for i in idx)}: {lhs} vs "
-                f"{rhs.scale(_HALF)}")
+                f"{tuple(H.labels[i] for i in idx)}: {lhs} vs {rhs}")
             checked += 1
     report.append(f"witness bracket relation verified on {checked} tuples")
 

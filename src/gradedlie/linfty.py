@@ -10,17 +10,26 @@ bracket, the morphism relations) is re-verified before it is returned.
 All operations are graded symmetric with Koszul signs; the arity-n bracket
 has degree 2 - n and the arity-n piece of a morphism into a DGLA has
 degree 1 - n.
+
+Evaluation strategy: every shuffle sum runs over a canonical (sorted)
+tuple, and goes through :func:`core.shuffle_splits`, which merges the
+shuffles that pick the same sub-multiset of the tuple into one term, so
+a repeated class costs one evaluation per distinct split.  The
+half-sums of brackets of two blocks (the transfer recursion and the
+left side of the morphism relation) go through
+:func:`core.half_sum_splits`, which also evaluates each split and its
+block swap once: graded antisymmetry of the stored bracket makes the
+two terms equal, so only the split into two equal halves keeps the
+weight 1/2.  Sums accumulate in place; the formulas are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .core import (
     GradedVectorSpace, MultilinearMap, Vector, accumulate, canonical_tuples,
-    parallel_map, signed_shuffles,
+    half_sum_splits, parallel_map, repeat_pattern, shuffle_splits,
 )
 from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitting
 
@@ -31,39 +40,8 @@ __all__ = [
     "alternate_sign_convention",
 ]
 
-_HALF = Fraction(1, 2)
-
-
 def _parities(space, idx) -> tuple:
     return tuple(space.degrees[i] % 2 for i in idx)
-
-
-@lru_cache(maxsize=None)
-def _split_signs(k: int, m: int, parities: tuple) -> tuple:
-    """(shuffle, sign) for the two-block terms [f_k(...), f_m(...)].
-
-    With n = k + m, the sign is the Koszul sign of the shuffle times
-    (-1)^((1 - n + k)(k + total degree of the first block)): the sign of
-    the transfer recursion, and of the morphism relation, whose exponent
-    has -k in place of k.  It depends on the degrees only through their
-    parities.  At n = 2 the extra factor
-    is trivial, and on all-odd inputs the whole sign collapses to +1;
-    both are asserted once per pattern.
-    """
-    n = k + m
-    out = []
-    for sigma, chi in signed_shuffles(k, m, parities):
-        alpha = (1 - n + k) * (k + sum(parities[s] for s in sigma[:k]))
-        sign = -chi if alpha % 2 else chi
-        if n == 2:
-            assert alpha % 2 == 0, \
-                "internal error: arity-2 side sign must vanish"
-        if all(parities):
-            assert sign == 1, \
-                "internal error: transfer signs must collapse " \
-                "to +1 on all-odd inputs"
-        out.append((sigma, sign))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +134,16 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
 
         def defect_at(idx, pairs=pairs, n=n):
             parities = _parities(space, idx)
+            repeats = repeat_pattern(idx)
             total = {}
             for k, inner, outer in pairs:
                 outer_sign = -1 if (n - k) % 2 else 1
-                for sigma, chi in signed_shuffles(k, n - k, parities):
-                    head = inner.evaluate_indices(tuple([idx[s] for s in sigma[:k]]))
+                for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
+                    head = inner.evaluate_indices(tuple([idx[s] for s in first]))
                     if head.is_zero():
                         continue
-                    args = [head] + [space.basis_vector(idx[s]) for s in sigma[k:]]
-                    accumulate(total, outer.evaluate(args), chi * outer_sign)
+                    args = [head] + [space.basis_vector(idx[s]) for s in rest]
+                    accumulate(total, outer.evaluate(args), c * outer_sign)
             return idx, Vector(space, total)
 
         for idx, defect in parallel_map(defect_at, canonical_tuples(space, n)):
@@ -248,38 +227,38 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
 
         def defect_at(idx, n=n):
             parities = _parities(src, idx)
-            brackets = {}
-            for p in range(1, n):
+            repeats = repeat_pattern(idx)
+            defect = {}
+            for p, terms in half_sum_splits(n, parities, repeats):
                 g_left = m.taylor.get(p)
                 g_right = m.taylor.get(n - p)
                 if g_left is None or g_right is None:
                     continue
-                for sigma, sign in _split_signs(p, n - p, parities):
-                    left = g_left.evaluate_indices(tuple([idx[s] for s in sigma[:p]]))
+                for first, second, c in terms:
+                    left = g_left.evaluate_indices(tuple([idx[s] for s in first]))
                     if left.is_zero():
                         continue
-                    right = g_right.evaluate_indices(tuple([idx[s] for s in sigma[p:]]))
+                    right = g_right.evaluate_indices(tuple([idx[s] for s in second]))
                     if right.is_zero():
                         continue
-                    accumulate(brackets, tgt.bracket.evaluate([left, right]), sign)
-            lhs = Vector(tgt.space, brackets).scale(_HALF)
+                    accumulate(defect, tgt.bracket.evaluate([left, right]), c)
             g_n = m.taylor.get(n)
             if g_n is not None:
-                lhs = lhs + tgt.d.apply(g_n.evaluate_indices(idx))
-            rhs = {}
+                accumulate(defect, tgt.d.apply(g_n.evaluate_indices(idx)))
             for k in range(1, n + 1):
                 inner = m.source.brackets.get(k)
                 g_out = m.taylor.get(n - k + 1)
                 if inner is None or g_out is None:
                     continue
                 outer_sign = -1 if (n - k) % 2 else 1
-                for sigma, chi in signed_shuffles(k, n - k, parities):
-                    head = inner.evaluate_indices(tuple([idx[s] for s in sigma[:k]]))
+                for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
+                    head = inner.evaluate_indices(tuple([idx[s] for s in first]))
                     if head.is_zero():
                         continue
-                    args = [head] + [src.basis_vector(idx[s]) for s in sigma[k:]]
-                    accumulate(rhs, g_out.evaluate(args), chi * outer_sign)
-            return idx, lhs - Vector(tgt.space, rhs)
+                    args = [head] + [src.basis_vector(idx[s]) for s in rest]
+                    # the right-hand side, moved over
+                    accumulate(defect, g_out.evaluate(args), -c * outer_sign)
+            return idx, Vector(tgt.space, defect)
 
         for idx, defect in parallel_map(defect_at, canonical_tuples(src, n)):
             if not defect.is_zero():
@@ -329,24 +308,24 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
         bracket_p = MultilinearMap(H, H, p, 2 - p)
 
         def pre_value(idx, p=p):
-            parities = _parities(H, idx)
             total = {}
-            for k in range(1, p):
+            for k, terms in half_sum_splits(p, _parities(H, idx),
+                                            repeat_pattern(idx)):
                 left_table = iota_tables[k]
                 right_table = iota_tables[p - k]
                 if left_table.is_zero() or right_table.is_zero():
                     continue
-                for sigma, sign in _split_signs(k, p - k, parities):
+                for first, second, c in terms:
                     left = left_table.evaluate_indices(
-                        tuple([idx[s] for s in sigma[:k]]))
+                        tuple([idx[s] for s in first]))
                     if left.is_zero():
                         continue
                     right = right_table.evaluate_indices(
-                        tuple([idx[s] for s in sigma[k:]]))
+                        tuple([idx[s] for s in second]))
                     if right.is_zero():
                         continue
-                    accumulate(total, A.bracket.evaluate([left, right]), sign)
-            return idx, Vector(A.space, total).scale(_HALF)
+                    accumulate(total, A.bracket.evaluate([left, right]), c)
+            return idx, Vector(A.space, total)
 
         for idx, value in parallel_map(pre_value, canonical_tuples(H, p)):
             if value.is_zero():

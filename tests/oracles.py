@@ -241,3 +241,56 @@ def pairing_cyclic_violations_naive(Q):
                     out.append(((space.labels[i], space.labels[j],
                                  space.labels[k]), f"defect {defect}"))
     return out
+
+
+def morphism_violations_naive(morphism, up_to):
+    """The morphism relations of an L-infinity morphism into a DGLA, as
+    (identity, labels, defect text), by the full double shuffle sums.
+
+    Every (p, n-p)-shuffle of every split is evaluated, both halves of
+    each swapped pair of blocks included, and the bracket sum is halved
+    at the end; the composition side runs over every (k, n-k)-shuffle.
+    Shuffles come from filtering the symmetric group and signs from
+    counting inversions, so nothing is shared with ``check_morphism``.
+    """
+    src = morphism.source.space
+    tgt = morphism.target
+    out = []
+    for n in range(1, up_to + 1):
+        for idx in itertools.combinations_with_replacement(range(src.dim), n):
+            degs = [src.degrees[i] for i in idx]
+            if any(a == b and src.degrees[a] % 2 == 0
+                   for a, b in zip(idx, idx[1:])):
+                continue
+            brackets = tgt.space.zero()
+            for p in range(1, n):
+                g_left = morphism.component(p)
+                g_right = morphism.component(n - p)
+                for sigma in shuffles_by_filter(p, n - p):
+                    sign = sign_by_inversions(sigma, degs)
+                    alpha = (1 - n + p) * (p + sum(degs[s] for s in sigma[:p]))
+                    if alpha % 2:
+                        sign = -sign
+                    left = g_left.evaluate_indices([idx[s] for s in sigma[:p]])
+                    right = g_right.evaluate_indices([idx[s] for s in sigma[p:]])
+                    term = tgt.bracket.evaluate([left, right])
+                    brackets = brackets + term.scale(sign)
+            lhs = (brackets.scale(Fraction(1, 2))
+                   + tgt.d.apply(morphism.component(n).evaluate_indices(idx)))
+            rhs = tgt.space.zero()
+            for k in range(1, n + 1):
+                inner = morphism.source.operation(k)
+                g_out = morphism.component(n - k + 1)
+                for sigma in shuffles_by_filter(k, n - k):
+                    sign = sign_by_inversions(sigma, degs)
+                    if (n - k) % 2:
+                        sign = -sign
+                    head = inner.evaluate_indices([idx[s] for s in sigma[:k]])
+                    args = [head] + [src.basis_vector(idx[s]) for s in sigma[k:]]
+                    rhs = rhs + g_out.evaluate(args).scale(sign)
+            defect = lhs - rhs
+            if not defect.is_zero():
+                out.append((f"morphism_relation_{n}",
+                            tuple(src.labels[i] for i in idx),
+                            f"defect {defect}"))
+    return out

@@ -233,3 +233,31 @@ def test_formality_transfers_once(corpus_files, capsys, monkeypatch):
     code, out, _ = run(capsys, "formality", corpus_files["weighted-pair"])
     assert code == 0 and "FORMAL-UP-TO-" in out
     assert calls == ["homotopy_transfer"]
+
+
+def test_validate_builds_the_algebra_once(corpus_files, capsys, monkeypatch):
+    # the pairing is validated on the algebra the splitting was built on
+    import gradedlie.cli
+    import gradedlie.documents
+    calls = counting(monkeypatch, "document_to_algebra", gradedlie.documents,
+                     gradedlie.cli)
+    code, out, _ = run(capsys, "validate", corpus_files["nocontraction"])
+    assert code == 0 and "cyclic of degree 2" in out
+    assert calls == ["document_to_algebra"]
+
+
+def test_internal_error_exits_three_with_one_line(corpus_files, tmp_path,
+                                                  capsys):
+    # one extra bracket constant makes the algebra invalid; transfer does
+    # not validate it first (a known gap), and its inclusion then fails
+    # the morphism relations, the library's own consistency check
+    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    bad = tmp_path / "edited.alg"
+    bad.write_text(text.replace("[b, x] = y\n", "[b, x] = y\n  [b, p] = -2*x\n"),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "transfer", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: inclusion fails its morphism "
+                          "relations")
+    assert err.count("\n") == 1 and "Traceback" not in err

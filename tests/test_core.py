@@ -6,14 +6,15 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedlie.core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
-    canonical_tuples, coordinates_in_span, echelon_vectors, enumerate_shuffles,
-    kernel_vectors, koszul_sign, rref, solve_dense, sort_basis_tuple,
-    worker_count,
+    accumulate, canonical_tuples, coordinates_in_span, echelon_vectors,
+    enumerate_shuffles, half_sum_splits, kernel_vectors, koszul_sign,
+    repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
+    sort_basis_tuple, worker_count,
 )
 
 from oracles import (
@@ -95,6 +96,129 @@ def test_shuffle_counts():
     assert len(enumerate_shuffles(2, 2)) == 6
     assert len(enumerate_shuffles(1, 3)) == 4
     assert enumerate_shuffles(1, 0) == ((0,),)
+
+
+@st.composite
+def sorted_tuples(draw, max_len=8):
+    """(block sizes k, m; a sorted value tuple; its parities) in which only
+    odd values repeat, as in a canonical basis tuple."""
+    k = draw(st.integers(0, 4))
+    m = draw(st.integers(0 if k else 1, 4))
+    values, parities = [], []
+    while len(values) < k + m:
+        parity = draw(st.integers(0, 1))
+        run = draw(st.integers(1, 3)) if parity else 1
+        value = len(set(values))
+        for _ in range(min(run, k + m - len(values))):
+            values.append(value)
+            parities.append(parity)
+    return k, m, tuple(values), tuple(parities)
+
+
+def _twist(sign, k, n, parities, first):
+    alpha = (1 - n + k) * (k + sum(parities[s] for s in first))
+    return -sign if alpha % 2 else sign
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_tuples(), st.booleans(), st.randoms(use_true_random=False))
+def test_merged_shuffle_splits_sum_like_the_expanded_shuffles(case, twisted,
+                                                              rng):
+    k, m, values, parities = case
+    # the twisted sign is that of a bracket of two nonempty blocks
+    assume(not twisted or (k and m))
+    n = k + m
+    lookups = {}
+
+    def term(first, second):
+        key = (tuple(values[s] for s in first), tuple(values[s] for s in second))
+        if key not in lookups:
+            lookups[key] = rng.randint(-5, 5)
+        return lookups[key]
+
+    expanded = 0
+    for sigma, sign in signed_shuffles(k, m, parities):
+        if twisted:
+            sign = _twist(sign, k, n, parities, sigma[:k])
+        expanded += sign * term(sigma[:k], sigma[k:])
+    terms = shuffle_splits(k, m, parities, repeat_pattern(values), twisted)
+    assert sum(c * term(first, second) for first, second, c in terms) == expanded
+    for first, second, c in terms:
+        assert c and type(c) is int
+        assert sorted(first + second) == list(range(n))
+        assert list(first) == sorted(first) and list(second) == sorted(second)
+    # one term per distinct first block
+    assert len({tuple(values[s] for s in first) for first, _, _ in terms}) \
+        == len(terms)
+
+
+def test_merged_shuffle_splits_collapse_repeats():
+    # (x, x, x, y, y) in odd degree: 10 (2, 3)-shuffles, 3 distinct splits
+    terms = shuffle_splits(2, 3, (1,) * 5, repeat_pattern((0, 0, 0, 1, 1)))
+    assert sorted(c for _, _, c in terms) == [1, 3, 6]
+
+
+def _random_bracket_data(rng):
+    """Small random stored maps F_k: H -> A of degree 1 - k and a stored
+    bracket on A, with H in degrees 0, 1, 1, 2 and A one line in each
+    degree; the bracket is nonzero wherever its degree allows."""
+    H = GradedVectorSpace([("a", 0), ("b", 1), ("c", 1), ("e", 2)])
+    A = GradedVectorSpace([(f"w{d}", d) for d in range(-4, 9)])
+
+    def of_degree(space, degree):
+        return [i for i in range(space.dim) if space.degrees[i] == degree]
+
+    def random_map(domain, arity, degree, density):
+        out = MultilinearMap(domain, A, arity, degree)
+        for key in canonical_tuples(domain, arity):
+            target = of_degree(A, sum(domain.degrees[i] for i in key) + degree)
+            if target and rng.random() < density:
+                out.set_entry(key, Vector(A, {target[0]: rng.choice(
+                    [-3, -2, -1, 1, 2, 3])}))
+        return out
+
+    return H, random_map(A, 2, 0, 1.0), {k: random_map(H, k, 1 - k, 0.7)
+                                         for k in range(1, 6)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_half_sum_splits_match_the_full_symmetric_sum(seed):
+    H, bracket, F = _random_bracket_data(random.Random(seed))
+    nonzero = 0
+    for n in range(2, 7):
+        for idx in canonical_tuples(H, n):
+            parities = tuple(H.degrees[i] % 2 for i in idx)
+            full = {}
+            for k in range(1, n):
+                for sigma, sign in signed_shuffles(k, n - k, parities):
+                    sign = _twist(sign, k, n, parities, sigma[:k])
+                    left = F[k].evaluate_indices([idx[s] for s in sigma[:k]])
+                    right = F[n - k].evaluate_indices([idx[s] for s in sigma[k:]])
+                    accumulate(full, bracket.evaluate([left, right]),
+                               Fraction(sign, 2))
+            paired = {}
+            for k, terms in half_sum_splits(n, parities, repeat_pattern(idx)):
+                assert 2 * k <= n
+                for first, second, c in terms:
+                    assert c
+                    left = F[k].evaluate_indices([idx[s] for s in first])
+                    right = F[n - k].evaluate_indices([idx[s] for s in second])
+                    accumulate(paired, bracket.evaluate([left, right]), c)
+            assert paired == full, (n, idx)
+            nonzero += bool(full)
+    assert nonzero
+
+
+def test_half_sum_splits_weigh_equal_halves_by_one_half():
+    # (x, x, y, y): the split (x, y | x, y) is its own swap
+    halves = dict(half_sum_splits(4, (1,) * 4, repeat_pattern((0, 0, 1, 1))))
+    equal = [(first, second, c) for first, second, c in halves[2]
+             if [(0, 0, 1, 1)[s] for s in first]
+             == [(0, 0, 1, 1)[s] for s in second]]
+    # four shuffles pick one x and one y first; half of 4 is 2
+    assert [c for _, _, c in equal] == [2]
+    # (x, x | y, y) and its swap (y, y | x, x) are kept once
+    assert len(halves[2]) == 2
 
 
 # --- canonical tuples -------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,13 @@ from gradedlie.linfty import (
     transferred_bracket_on_classes,
 )
 from gradedlie.corpus import (
-    abelian_base, nocontraction, random_two_step, standard_corpus,
-    weighted_pair,
+    abelian_base, nocontraction, random_quasi_cyclic_two_step,
+    random_two_step, standard_corpus, weighted_pair,
 )
 
-from oracles import build_algebra, transfer_tables_naive
+from oracles import (
+    build_algebra, morphism_violations_naive, transfer_tables_naive,
+)
 
 
 # --- generalized Jacobi identities ---------------------------------------------
@@ -183,6 +186,46 @@ def test_transfer_tables_match_the_brute_force_oracle():
                                 ("bracket", T.minimal.operation(p))):
                 naive = transfer_tables_naive(A, s, kind, p)
                 assert dict(table.entries()) == naive, (name, kind, p)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_arity_five_tables_match_the_brute_force_oracle(seed):
+    # two degree-1 classes: arity-5 tuples repeat a class two to five
+    # times, and the arity-4 level splits (x1, x2 | x1, x2) into equal
+    # halves, so the merged and paired shuffle terms are all exercised
+    A = random_quasi_cyclic_two_step(random.Random(seed)).algebra
+    s = compute_splitting(A)
+    assert [d for d in s.h_space.degrees] == [1, 1]
+    T = homotopy_transfer(A, s, 5)
+    assert not T.inclusion.component(5).is_zero()
+    for p in range(2, 6):
+        for kind, table in (("iota", T.inclusion.component(p)),
+                            ("bracket", T.minimal.operation(p))):
+            naive = transfer_tables_naive(A, s, kind, p)
+            assert dict(table.entries()) == naive, (seed, kind, p)
+
+
+def test_planted_defect_is_reported_like_the_full_double_sum():
+    # a wrong g_2(x, y) reaches the arity-4 relation at (x, x, y, y)
+    # through [g_2(x, y), g_2(x, y)], a split into equal halves
+    A = nocontraction().algebra
+    T = homotopy_transfer(A, compute_splitting(A), 4)
+    H = T.minimal.space
+    xy = (H.index("x"), H.index("y"))
+    planted = MultilinearMap(H, A.space, 2, -1)
+    for key, value in T.inclusion.component(2).entries():
+        if key != xy:
+            planted.set_entry(key, value)
+    planted.set_entry(xy, T.inclusion.component(2).evaluate_indices(xy)
+                      + A.space.basis_vector("x"))
+    taylor = dict(T.inclusion.taylor)
+    taylor[2] = planted
+    wrong = LInftyMorphismToDgla(T.minimal, A, taylor, 4)
+    found = [(v.identity, v.where, v.detail) for v in check_morphism(wrong, 4)]
+    assert found == morphism_violations_naive(wrong, 4)
+    assert ("morphism_relation_4", ("x", "x", "y", "y")) in [
+        (identity, where) for identity, where, _ in found]
+    assert morphism_violations_naive(T.inclusion, 4) == []
 
 
 def test_transferred_structures_verify_to_arity_five():
