@@ -235,17 +235,70 @@ def sort_basis_tuple(indices, degree_of):
     return tuple(seq), sign
 
 
-def canonical_tuples(space, arity):
+def canonical_tuples(space, arity, shift=None, degrees=None):
     """Canonical basis-index tuples of a given arity, in sorted order.
 
     Weakly increasing tuples, skipping those that repeat an even-degree
     index (forced to zero by graded symmetry).
+
+    With a ``shift``, only the tuples whose degree sum plus ``shift`` is
+    one of ``degrees`` (the target's degrees; the space's own when not
+    given) are yielded, still in sorted order.  A homogeneous map whose
+    value at a tuple has degree (input sum) + shift is zero on every
+    other tuple, so a loop that evaluates such a map needs only these;
+    the prune is sound exactly when every map it evaluates is
+    homogeneous, which ``LinearMap`` and ``MultilinearMap.set_entry``
+    enforce.  The tuples are grown index by index from a table of the
+    degree sums still reachable with r entries drawn from index i on, and
+    a prefix is kept only while one of them completes a target degree: no
+    infeasible tuple or prefix is visited, and a space with no feasible
+    tuple costs only the table.  Without a shift every reachable sum is
+    a target.
     """
-    for idx in itertools.combinations_with_replacement(range(space.dim), arity):
-        if any(a == b and space.degrees[a] % 2 == 0
-               for a, b in zip(idx, idx[1:])):
-            continue
-        yield idx
+    degs = space.degrees
+    dim = len(degs)
+    # next_start[i]: where the entry after index i may start (an odd index
+    # may repeat); reach[r][i]: degree sums of canonical r-tuples >= i
+    next_start = [i if d % 2 else i + 1 for i, d in enumerate(degs)]
+    reach = [[frozenset((0,))] * (dim + 1)]
+    for r in range(1, arity + 1):
+        below = reach[r - 1]
+        row = [frozenset()] * (dim + 1)
+        for i in range(dim - 1, -1, -1):
+            d = degs[i]
+            row[i] = row[i + 1].union([d + s for s in below[next_start[i]]])
+        reach.append(row)
+    if shift is None:
+        targets = reach[arity][0]
+    else:
+        targets = frozenset(t - shift for t in
+                            (degs if degrees is None else degrees))
+    if targets.isdisjoint(reach[arity][0]):
+        return
+    # frontier of feasible sorted prefixes: (prefix, next start, degree sum);
+    # the feasible next entries depend only on (next start, degree sum)
+    frontier = [((), 0, 0)]
+    for r in range(arity, 0, -1):
+        here, below = reach[r], reach[r - 1]
+        entries = {}
+        grown = []
+        for prefix, start, total in frontier:
+            key = (start, total)
+            options = entries.get(key)
+            if options is None:
+                options = entries[key] = []
+                for j in range(start, dim):
+                    # here[j] shrinks as j grows: nothing further lands
+                    if targets.isdisjoint([s + total for s in here[j]]):
+                        break
+                    s = total + degs[j]
+                    nxt = next_start[j]
+                    if not targets.isdisjoint([t + s for t in below[nxt]]):
+                        options.append(((j,), nxt, s))
+            grown += [(prefix + j, nxt, s) for j, nxt, s in options]
+        frontier = grown
+    for prefix, _, _ in frontier:
+        yield prefix
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +500,14 @@ class Vector:
 # ---------------------------------------------------------------------------
 
 class LinearMap:
-    """Homogeneous linear map stored by columns (domain index -> image)."""
+    """Homogeneous linear map stored by columns (domain index -> image).
 
-    def __init__(self, domain, codomain, degree, columns, check=True):
+    Every column is checked to be homogeneous of the map's degree, so the
+    degree-feasible enumeration of :func:`canonical_tuples` may rely on
+    it.
+    """
+
+    def __init__(self, domain, codomain, degree, columns):
         self.domain = domain
         self.codomain = codomain
         self.degree = int(degree)
@@ -459,13 +517,12 @@ class LinearMap:
                 raise ValueError("column image lies in the wrong space")
             if vec.is_zero():
                 continue
-            if check:
-                expected = domain.degrees[i] + self.degree
-                for j in vec.coeffs:
-                    if codomain.degrees[j] != expected:
-                        raise ValueError(
-                            f"image of {domain.labels[i]!r} is not homogeneous of "
-                            f"degree {expected}")
+            expected = domain.degrees[i] + self.degree
+            for j in vec.coeffs:
+                if codomain.degrees[j] != expected:
+                    raise ValueError(
+                        f"image of {domain.labels[i]!r} is not homogeneous of "
+                        f"degree {expected}")
             cols[i] = vec
         self.columns = cols
 
@@ -498,7 +555,7 @@ class LinearMap:
             raise ValueError("maps are not composable")
         cols = {i: self.apply(v) for i, v in other.columns.items()}
         return LinearMap(other.domain, self.codomain,
-                         self.degree + other.degree, cols, check=False)
+                         self.degree + other.degree, cols)
 
     def add(self, other: "LinearMap") -> "LinearMap":
         if (other.domain != self.domain or other.codomain != self.codomain
@@ -507,12 +564,12 @@ class LinearMap:
         cols = dict(self.columns)
         for i, v in other.columns.items():
             cols[i] = cols[i] + v if i in cols else v
-        return LinearMap(self.domain, self.codomain, self.degree, cols, check=False)
+        return LinearMap(self.domain, self.codomain, self.degree, cols)
 
     def scale(self, scalar) -> "LinearMap":
         c = as_scalar(scalar)
         return LinearMap(self.domain, self.codomain, self.degree,
-                         {i: v.scale(c) for i, v in self.columns.items()}, check=False)
+                         {i: v.scale(c) for i, v in self.columns.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LinearMap)

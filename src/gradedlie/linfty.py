@@ -21,6 +21,11 @@ left side of the morphism relation) go through
 block swap once: graded antisymmetry of the stored bracket makes the
 two terms equal, so only the split into two equal halves keeps the
 weight 1/2.  Sums accumulate in place; the formulas are unchanged.
+Every stored map is homogeneous, so a level, relation or identity of
+arity n has one degree at a tuple (its input sum plus 2 - n, or 3 - n
+for the generalized Jacobi defect), and the loops visit only the tuples
+whose degree the target space has (:func:`core.canonical_tuples` with
+a shift); on every other tuple the value is zero.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
                     accumulate(total, outer.evaluate(args), c * outer_sign)
             return idx, Vector(space, total)
 
-        for idx, defect in parallel_map(defect_at, canonical_tuples(space, n)):
+        for idx, defect in parallel_map(
+                defect_at, canonical_tuples(space, n, 3 - n)):
             if not defect.is_zero():
                 out.append(Violation(
                     f"generalized_jacobi_{n}",
@@ -260,7 +266,8 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
                     accumulate(defect, g_out.evaluate(args), -c * outer_sign)
             return idx, Vector(tgt.space, defect)
 
-        for idx, defect in parallel_map(defect_at, canonical_tuples(src, n)):
+        for idx, defect in parallel_map(
+                defect_at, canonical_tuples(src, n, 2 - n, tgt.space.degrees)):
             if not defect.is_zero():
                 out.append(Violation(
                     f"morphism_relation_{n}",
@@ -327,7 +334,8 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
                     accumulate(total, A.bracket.evaluate([left, right]), c)
             return idx, Vector(A.space, total)
 
-        for idx, value in parallel_map(pre_value, canonical_tuples(H, p)):
+        for idx, value in parallel_map(
+                pre_value, canonical_tuples(H, p, 2 - p, A.space.degrees)):
             if value.is_zero():
                 continue
             homotopy_part = s.h.apply(value)
@@ -371,7 +379,7 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
 
     induced = cohomology(A, s).bracket
     transferred = minimal.operation(2)
-    for idx in canonical_tuples(H, 2):
+    for idx in canonical_tuples(H, 2, 0):
         if transferred.evaluate_indices(idx) != induced.evaluate_indices(idx):
             raise AssertionError(
                 "internal error: transferred arity-2 bracket disagrees with "

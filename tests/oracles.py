@@ -6,9 +6,14 @@ rather than tautology.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from gradedlie.core import Vector
+from gradedlie.corpus import perturb_quasi_cyclic
+from gradedlie.documents import (
+    bundled_documents, document_to_quasi_cyclic, parse_document,
+)
 
 
 def sign_by_inversions(perm, degrees):
@@ -293,4 +298,96 @@ def morphism_violations_naive(morphism, up_to):
                 out.append((f"morphism_relation_{n}",
                             tuple(src.labels[i] for i in idx),
                             f"defect {defect}"))
+    return out
+
+
+def _all_canonical_tuples(space, n):
+    """Every weakly increasing basis tuple without a repeated even index;
+    no degree pruning."""
+    for idx in itertools.combinations_with_replacement(range(space.dim), n):
+        if not any(a == b and space.degrees[a] % 2 == 0
+                   for a, b in zip(idx, idx[1:])):
+            yield idx
+
+
+def dgla_violations_naive(algebra):
+    """The Leibniz and Jacobi violations of a DGLA, as (identity, labels,
+    defect text), on every canonical pair and triple.
+
+    Leibniz: d[e_i, e_j] - [d e_i, e_j] - (-1)^|i| [e_i, d e_j].  Jacobi:
+    the sum over (2, 1)-shuffles of sign * [[., .], .], shuffles from
+    filtering the symmetric group and signs from counting inversions.
+    """
+    space, d, bracket = algebra.space, algebra.d, algebra.bracket
+    e = space.basis_vector
+    out = []
+    for i, j in _all_canonical_tuples(space, 2):
+        term = bracket.evaluate([e(i), d.apply(e(j))])
+        if space.degrees[i] % 2:
+            term = term.scale(-1)
+        defect = (d.apply(bracket.evaluate([e(i), e(j)]))
+                  - bracket.evaluate([d.apply(e(i)), e(j)]) - term)
+        if not defect.is_zero():
+            out.append(("leibniz", (space.labels[i], space.labels[j]),
+                        f"defect {defect}"))
+    for idx in _all_canonical_tuples(space, 3):
+        degs = [space.degrees[i] for i in idx]
+        defect = space.zero()
+        for sigma in shuffles_by_filter(2, 1):
+            inner = bracket.evaluate([e(idx[sigma[0]]), e(idx[sigma[1]])])
+            term = bracket.evaluate([inner, e(idx[sigma[2]])])
+            defect = defect + term.scale(sign_by_inversions(sigma, degs))
+        if not defect.is_zero():
+            out.append(("jacobi", tuple(space.labels[i] for i in idx),
+                        f"defect {defect}"))
+    return out
+
+
+def linfty_axiom_violations_naive(structure, up_to):
+    """The generalized Jacobi violations of an L-infinity algebra, as
+    (identity, labels, defect text), on every canonical tuple of every
+    arity n <= up_to: the full sum over k and (k, n-k)-shuffles of
+    (-1)^(n-k) times the Koszul sign of l_(n-k+1)(l_k(...), ...)."""
+    space = structure.space
+    out = []
+    for n in range(1, up_to + 1):
+        for idx in _all_canonical_tuples(space, n):
+            degs = [space.degrees[i] for i in idx]
+            defect = space.zero()
+            for k in range(1, n + 1):
+                inner = structure.operation(k)
+                outer = structure.operation(n - k + 1)
+                for sigma in shuffles_by_filter(k, n - k):
+                    sign = sign_by_inversions(sigma, degs)
+                    if (n - k) % 2:
+                        sign = -sign
+                    head = inner.evaluate_indices([idx[s] for s in sigma[:k]])
+                    args = [head] + [space.basis_vector(idx[s])
+                                     for s in sigma[k:]]
+                    defect = defect + outer.evaluate(args).scale(sign)
+            if not defect.is_zero():
+                out.append((f"generalized_jacobi_{n}",
+                            tuple(space.labels[i] for i in idx),
+                            f"defect {defect}"))
+    return out
+
+
+def degree_rich_algebras(edits_per_document=6):
+    """(name, DGLA) inputs whose checks have tuples on both sides of the
+    degree prune: the bundled documents that have such tuples, seeded
+    ``perturb_quasi_cyclic`` edits of each, and ``nocontraction`` plus
+    ``[a, b] = b``, which breaks Leibniz and Jacobi."""
+    out = []
+    texts = dict(bundled_documents())
+    for name in ("diagonal-symplectic", "nocontraction", "weighted-pair"):
+        Q = document_to_quasi_cyclic(parse_document(texts[name]))
+        out.append((name, Q.algebra))
+        rng = random.Random(name)
+        for _ in range(edits_per_document):
+            desc, edited = perturb_quasi_cyclic(Q, rng)
+            out.append((f"{name}: {desc}", edited.algebra))
+    bad = texts["nocontraction"].replace("  [b, x] = y\n",
+                                         "  [b, x] = y\n  [a, b] = b\n")
+    out.append(("nocontraction + [a, b] = b",
+                document_to_quasi_cyclic(parse_document(bad)).algebra))
     return out

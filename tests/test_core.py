@@ -223,6 +223,28 @@ def test_half_sum_splits_weigh_equal_halves_by_one_half():
 
 # --- canonical tuples -------------------------------------------------------
 
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-3, 4), max_size=7), st.integers(1, 6),
+       st.integers(-9, 9),
+       st.one_of(st.none(), st.lists(st.integers(-6, 8), max_size=4)))
+def test_feasible_tuples_match_the_filtered_enumeration(degrees, arity, shift,
+                                                       targets):
+    """The shifted enumeration gives exactly the canonical tuples whose
+    degree sum plus the shift is a target degree, in sorted order; with
+    no shift, every canonical tuple."""
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    canonical = [
+        idx for idx in itertools.combinations_with_replacement(
+            range(len(degrees)), arity)
+        if not any(a == b and degrees[a] % 2 == 0
+                   for a, b in zip(idx, idx[1:]))]
+    assert list(canonical_tuples(V, arity)) == canonical
+    lands = set(degrees if targets is None else targets)
+    assert list(canonical_tuples(V, arity, shift, targets)) == [
+        idx for idx in canonical
+        if sum(degrees[i] for i in idx) + shift in lands]
+
+
 def test_sort_basis_tuple_kills_even_repeats():
     degs = {0: 0, 1: 1, 2: 2}
     key, sign = sort_basis_tuple((2, 2), degs.__getitem__)
@@ -275,6 +297,26 @@ def test_linear_map_degree_check():
     assert d.apply(V.vector({"a": 3})) == V.vector({"x": 3})
 
 
+def test_every_linear_map_checks_homogeneity():
+    """No LinearMap holds an inhomogeneous column, not even one built by
+    compose, add or scale from a map whose column was overwritten."""
+    V = space_xyz()
+    mixed = V.vector({"x": 1, "z": 1})
+    with pytest.raises(ValueError, match="not homogeneous"):
+        LinearMap(V, V, 1, {V.index("a"): mixed})
+    ident = LinearMap.identity(V)
+    tampered = LinearMap.identity(V)
+    tampered.columns[V.index("x")] = mixed
+    with pytest.raises(ValueError, match="not homogeneous"):
+        ident.compose(tampered)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        tampered.compose(ident)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        ident.add(tampered)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        tampered.scale(2)
+
+
 def test_compose_add_rank_kernel_image():
     V = space_xyz()
     d = LinearMap(V, V, 1, {V.index("a"): V.basis_vector("x"),
@@ -325,6 +367,10 @@ def test_multilinear_degree_check():
     f = MultilinearMap(V, V, 2, 0)
     with pytest.raises(ValueError):
         f.set_entry(("x", "y"), V.basis_vector("x"))
+    # a value with one right and one wrong component is refused too
+    with pytest.raises(ValueError, match="not homogeneous"):
+        f.set_entry(("x", "y"), V.vector({"z": 1, "x": 1}))
+    assert f.is_zero()
 
 
 def test_evaluate_respects_linearity_and_signs():

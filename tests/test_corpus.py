@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from gradedlie.cyclic import validate_pairing
 from gradedlie.dgla import cohomology, compute_splitting, validate_dgla, verify_splitting
 from gradedlie.corpus import (
-    abelian_base, nocontraction, random_quasi_cyclic_two_step, random_two_step,
-    standard_corpus, tensor_cell, weighted_pair,
+    abelian_base, nocontraction, perturb_quasi_cyclic,
+    random_quasi_cyclic_two_step, random_two_step, standard_corpus,
+    tensor_cell, weighted_pair,
 )
 
 from oracles import permute_basis
@@ -99,3 +100,23 @@ def test_weighted_pair_classification_is_order_independent(perm):
     assert rep.violations == []
     assert rep.status() == "quasi-cyclic of degree 2"
     assert cohomology(moved.algebra).dims == {0: 1, 1: 2, 2: 1}
+
+
+def test_perturbations_keep_every_entry_homogeneous():
+    """The degree prune of the checks relies on homogeneity; a perturbed
+    bracket is written into its table directly, so the slot it picks
+    must be degree-legal."""
+    corpus = standard_corpus()
+    rng = random.Random(6)
+    for draw in range(200):
+        name, Q = corpus[draw % len(corpus)]
+        desc, edited = perturb_quasi_cyclic(Q, rng)
+        A = edited.algebra
+        degrees = A.space.degrees
+        for key, value in A.bracket.table.items():
+            expected = sum(degrees[i] for i in key)
+            assert {degrees[j] for j in value.coeffs} <= {expected}, \
+                (name, desc, key)
+        for i, column in A.d.columns.items():
+            assert {degrees[j] for j in column.coeffs} == {degrees[i] + 1}, \
+                (name, desc, i)

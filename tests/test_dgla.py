@@ -1,21 +1,25 @@
-import pytest
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.core import coordinates_in_span
+from gradedlie import dgla
+from gradedlie.core import LinearMap, canonical_tuples, coordinates_in_span
 from gradedlie.dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, cohomology,
     compute_splitting, find_equivariant_splitting, restrict_to_span,
     validate_dgla, verify_splitting,
 )
 from gradedlie.corpus import (
-    nocontraction, noformal_degree3, standard_corpus, weighted_pair,
+    nocontraction, noformal_degree3, random_quasi_cyclic_two_step,
+    standard_corpus, weighted_pair,
 )
 
 from oracles import (
-    assert_exact_scalar, build_algebra, rref_naive, splitting_maps_naive,
+    assert_exact_scalar, build_algebra, degree_rich_algebras,
+    dgla_violations_naive, rref_naive, splitting_maps_naive,
 )
 
 
@@ -50,6 +54,67 @@ def test_jacobi_failure_is_reported_at_the_offending_triple():
     bad = validate_dgla(A)
     assert [v.identity for v in bad] == ["jacobi"]
     assert bad[0].where == ("a", "b", "c")
+
+
+def test_pruned_checks_report_like_the_full_loops():
+    """Leibniz and Jacobi visit only the degree-feasible tuples; on inputs
+    with tuples on both sides of that prune they report exactly what
+    the loops over every pair and triple report, in the same order."""
+    found = set()
+    for name, A in degree_rich_algebras():
+        space = A.space
+        for arity, shift in ((2, 1), (3, 0)):
+            feasible = len(list(canonical_tuples(space, arity, shift)))
+            assert 0 < feasible < len(list(canonical_tuples(space, arity))), \
+                (name, arity)
+        got = [(v.identity, v.where, v.detail) for v in validate_dgla(A)
+               if v.identity in ("leibniz", "jacobi")]
+        assert got == dgla_violations_naive(A), name
+        found.update(identity for identity, _, _ in got)
+    assert found == {"leibniz", "jacobi"}
+
+
+def test_pruned_induced_jacobi_check_reports_like_the_full_loop():
+    found = 0
+    for name, A in degree_rich_algebras():
+        try:
+            C = cohomology(A)
+        except ValueError:
+            continue  # an edit with d^2 != 0 has no splitting
+        H = C.space
+        induced = DgLieAlgebra(H, LinearMap.zero(H, H, 1), C.bracket)
+        expected = [("jacobi_induced", where, detail) for identity, where, detail
+                    in dgla_violations_naive(induced) if identity == "jacobi"]
+        assert [(v.identity, v.where, v.detail)
+                for v in C.violations] == expected, name
+        found += len(expected)
+    assert found
+
+
+def test_validation_evaluates_no_tuple_without_a_degree_to_land_in(monkeypatch):
+    """In degrees 1-2 a Leibniz defect (degree sum + 1) and a Jacobi
+    defect (degree sum) sit in degree 3 or more, outside the algebra, so
+    no pair or triple is handed to the evaluation at all."""
+    handed = []
+
+    def recording(fn, items):
+        items = list(items)
+        handed.append(len(items))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(dgla, "parallel_map", recording)
+    A = random_quasi_cyclic_two_step(random.Random(0), 4, 6).algebra
+    assert set(A.space.degrees) == {1, 2}
+    assert validate_dgla(A) == []
+    assert handed == [0, 0]
+
+
+def test_a_bracket_breaking_leibniz_and_jacobi_is_still_reported():
+    name, A = degree_rich_algebras()[-1]
+    assert name == "nocontraction + [a, b] = b"
+    bad = validate_dgla(A)
+    assert ("leibniz", ("a", "b")) in [(v.identity, v.where) for v in bad]
+    assert ("jacobi", ("a", "b", "x")) in [(v.identity, v.where) for v in bad]
 
 
 def test_algebra_constructor_rejects_wrong_shapes():

@@ -1,9 +1,11 @@
+import itertools
 import random
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from gradedlie.core import GradedVectorSpace, MultilinearMap
+from gradedlie.core import GradedVectorSpace, MultilinearMap, canonical_tuples
+from gradedlie import linfty
 from gradedlie.dgla import Splitting, cohomology, compute_splitting
 from gradedlie.linfty import (
     LInftyAlgebra, LInftyMorphismToDgla, alternate_sign_convention,
@@ -16,7 +18,8 @@ from gradedlie.corpus import (
 )
 
 from oracles import (
-    build_algebra, morphism_violations_naive, transfer_tables_naive,
+    build_algebra, degree_rich_algebras, linfty_axiom_violations_naive,
+    morphism_violations_naive, transfer_tables_naive,
 )
 
 
@@ -51,6 +54,24 @@ def test_arity_three_identity_is_jacobi():
     bad = check_linfty_axioms(LInftyAlgebra.from_dgla(A, 3), 3)
     assert [v.identity for v in bad] == ["generalized_jacobi_3"]
     assert bad[0].where == ("a", "b", "c")
+
+
+def test_pruned_axiom_check_reports_like_the_full_sums():
+    """The generalized Jacobi check visits only the tuples whose defect
+    has a degree in the space (input sum + 3 - n); it reports what the
+    full sums over every tuple report."""
+    found = set()
+    for name, A in degree_rich_algebras():
+        for n in (1, 2, 3):
+            feasible = len(list(canonical_tuples(A.space, n, 3 - n)))
+            assert 0 < feasible < len(list(canonical_tuples(A.space, n))), \
+                (name, n)
+        L = LInftyAlgebra.from_dgla(A)
+        got = [(v.identity, v.where, v.detail)
+               for v in check_linfty_axioms(L, 3)]
+        assert got == linfty_axiom_violations_naive(L, 3), name
+        found.update(identity for identity, _, _ in got)
+    assert found == {f"generalized_jacobi_{n}" for n in (1, 2, 3)}
 
 
 def test_axiom_check_refuses_untracked_arities():
@@ -259,6 +280,43 @@ def test_ternary_class_is_independent_of_the_splitting_choice():
 
 
 # --- entry points and errors ----------------------------------------------------
+
+def test_transfer_evaluates_only_tuples_with_a_degree_to_land_in(monkeypatch):
+    """Each level and morphism relation of arity n gets exactly the
+    canonical tuples whose degree sum + 2 - n is a degree of the algebra;
+    the generalized Jacobi check of a model in degrees 1-2 gets none,
+    its defects sitting in degree 3 or more."""
+    handed = []
+
+    def recording(fn, items):
+        items = list(items)
+        handed.append((fn.__qualname__.split(".")[0], items))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(linfty, "parallel_map", recording)
+    A = random_two_step(random.Random(5))
+    T = homotopy_transfer(A, compute_splitting(A), 4)
+    assert check_linfty_axioms(T.minimal, 4) == []
+    H = T.minimal.space
+    assert set(H.degrees) == {1, 2}
+
+    def landing(n, shift, degrees):
+        return [idx for idx in itertools.combinations_with_replacement(
+                    range(H.dim), n)
+                if not any(a == b and H.degrees[a] % 2 == 0
+                           for a, b in zip(idx, idx[1:]))
+                and sum(H.degrees[i] for i in idx) + shift in degrees]
+
+    by_loop = {}
+    for name, items in handed:
+        by_loop.setdefault(name, []).append(items)
+    expected = [landing(n, 2 - n, A.space.degrees) for n in range(2, 5)]
+    assert by_loop["_level_tables"] == expected
+    assert by_loop["check_morphism"] == [landing(1, 1, A.space.degrees)] \
+        + expected
+    assert by_loop["check_linfty_axioms"]
+    assert all(items == [] for items in by_loop["check_linfty_axioms"])
+
 
 def test_transfer_rejects_bad_inputs():
     A = nocontraction().algebra
