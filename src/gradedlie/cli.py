@@ -15,9 +15,7 @@ a NON-FORMAL verdict from ``formality``, which exit 1; unreadable input
 (parse errors, schema violations, missing files, ill-posed queries)
 exits 2; an internal error (a failed self-check, raised as an
 ``AssertionError``) prints one line on stderr and exits 3.  ``massey``
-is an evidence query: finding a certificate still exits 0.  The
-environment variable ``LF_THREADS`` caps internal parallelism (0 or
-unset picks a sensible default).
+is an evidence query: finding a certificate still exits 0.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cyclic import NormalizationError, normalize_splitting, validate_pairing
 from .dgla import (
@@ -419,7 +418,9 @@ def _exit_code(report: Report) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; treat it as read-only."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact minimal models, Massey products, and formality "
@@ -427,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 verdict computed (PASS, INCONCLUSIVE, "
                "REJECTED, FORMAL-UP-TO-N, and NON-FORMAL outside "
                "'formality'); 1 FAIL, or NON-FORMAL from 'formality'; "
-               "2 unreadable input; 3 internal error. LF_THREADS caps "
-               "internal parallelism (0 = auto).")
+               "2 unreadable input; 3 internal error.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, needs_file=True, arity=False,

@@ -18,7 +18,6 @@ across threads; sums accumulate in place only into a dict that no
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +29,6 @@ __all__ = [
     "sort_basis_tuple", "accumulate",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
-    "worker_count", "parallel_map",
 ]
 
 Scalar = Fraction
@@ -876,30 +874,12 @@ def extend_to_complement(candidates, inside, space):
     return picked
 
 
-# ---------------------------------------------------------------------------
-# Optional thread fan-out
-# ---------------------------------------------------------------------------
-
+# Serial stubs for bench/ only; ROADMAP item 3's bench change deletes them.
 def worker_count() -> int:
-    """Worker cap from LF_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("LF_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"LF_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError("LF_THREADS must be nonnegative")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    """Always 1: the kernel runs on one thread."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, fanned out over threads when allowed."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving serial map."""
+    return [fn(x) for x in items]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
     canonical_tuples, coordinates_in_span, echelon_vectors,
-    extend_to_complement, kernel_vectors, koszul_sign, parallel_map, rref,
+    extend_to_complement, kernel_vectors, koszul_sign, rref,
     signed_shuffles, solve_dense,
 )
 
@@ -72,11 +72,8 @@ class DgLieAlgebra:
 def validate_dgla(A: DgLieAlgebra):
     """Check d^2 = 0, graded skew-symmetry, Leibniz, and Jacobi exactly."""
     space = A.space
-    out = []
-    for i in range(space.dim):
-        v = A.d.apply(A.d.apply(space.basis_vector(i)))
-        if not v.is_zero():
-            out.append(Violation("d_squared", (space.labels[i],), f"d(d(.)) = {v}"))
+    out = [Violation("d_squared", (space.labels[i],), f"d(d(.)) = {v}")
+           for i, v in _d_squared_defects(A)]
     # skew-symmetry holds structurally for canonically stored brackets, but
     # evaluate both orders anyway so the check stays meaningful for any input
     for i, j in canonical_tuples(space, 2, 0):
@@ -87,30 +84,30 @@ def validate_dgla(A: DgLieAlgebra):
             out.append(Violation("skew_symmetry",
                                  (space.labels[i], space.labels[j]), f"defect {defect}"))
 
-    def leibniz_defect(pair):
-        i, j = pair
+    for i, j in canonical_tuples(space, 2, 1):
         ei, ej = space.basis_vector(i), space.basis_vector(j)
         lhs = A.d.apply(A.bracket.evaluate([ei, ej]))
         rhs = A.bracket.evaluate([A.d.apply(ei), ej])
         term = A.bracket.evaluate([ei, A.d.apply(ej)])
-        rhs = rhs + (term if space.degrees[i] % 2 == 0 else -term)
-        return (i, j), lhs - rhs
-
-    pairs = list(canonical_tuples(space, 2, 1))
-    for (i, j), defect in parallel_map(leibniz_defect, pairs):
+        defect = lhs - (rhs + (term if space.degrees[i] % 2 == 0 else -term))
         if not defect.is_zero():
             out.append(Violation("leibniz", (space.labels[i], space.labels[j]),
                                  f"defect {defect}"))
 
-    def jacobi_defect(idx):
-        return idx, _jacobi_defect(A.bracket, space, idx)
-
-    for idx, defect in parallel_map(jacobi_defect,
-                                    list(canonical_tuples(space, 3, 0))):
+    for idx in canonical_tuples(space, 3, 0):
+        defect = _jacobi_defect(A.bracket, space, idx)
         if defect:
             out.append(Violation("jacobi", tuple(space.labels[i] for i in idx),
                                  f"defect {Vector(space, defect)}"))
     return out
+
+
+def _d_squared_defects(A: DgLieAlgebra):
+    """(i, d(d(e_i))) for every basis index i where d^2 does not vanish."""
+    for i in range(A.space.dim):
+        v = A.d.apply(A.d.apply(A.space.basis_vector(i)))
+        if not v.is_zero():
+            yield i, v
 
 
 def _jacobi_defect(bracket: MultilinearMap, space, idx) -> dict:
@@ -228,7 +225,16 @@ def compute_splitting(A: DgLieAlgebra) -> Splitting:
             if len(echelon_vectors(picked_images + [di], L)) > len(picked_images):
                 picked_images = echelon_vectors(picked_images + [di], L)
                 k_vectors.append(L.basis_vector(i))
-    return Splitting(A, h_vectors, k_vectors)
+    try:
+        return Splitting(A, h_vectors, k_vectors)
+    except ValueError:
+        # with d^2 != 0 the counts above mean nothing; name the cause
+        defect = next(_d_squared_defects(A), None)
+        if defect is not None:
+            i, v = defect
+            raise ValueError(f"differential does not square to zero: "
+                             f"d(d({L.labels[i]})) = {v}") from None
+        raise
 
 
 def verify_splitting(s: Splitting):

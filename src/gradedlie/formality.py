@@ -24,7 +24,7 @@ from fractions import Fraction
 from .core import (
     LinearMap, MultilinearMap, Vector, accumulate, as_scalar, canonical_tuples,
     coordinates_in_span, echelon_vectors, half_sum_splits, kernel_vectors,
-    parallel_map, repeat_pattern, shuffle_splits, solve_dense,
+    repeat_pattern, shuffle_splits, solve_dense,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
@@ -659,7 +659,8 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                         f"not invariant at {tuple(H.labels[i] for i in idx)} "
                         f"under {g}: sum {total}")
 
-        def solve_tuple(idx, p=p, i_funcs=i_funcs, f_funcs=f_funcs):
+        f_p = MultilinearMap(H, H, p, 1 - p)
+        for idx in itertools.combinations_with_replacement(h1, p):
             totals = [0] * len(h1)
             repeats = repeat_pattern(idx)
             for j in range(2, p):
@@ -676,14 +677,9 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
             assert solution is not None and not kernel, (
                 f"coefficient solve at {tuple(H.labels[i] for i in idx)} "
                 f"is not uniquely solvable")
-            return idx, Vector(H, {h1[c]: value
-                                   for c, value in enumerate(solution) if value})
-
-        f_p = MultilinearMap(H, H, p, 1 - p)
-        for idx, vec in parallel_map(
-                solve_tuple,
-                itertools.combinations_with_replacement(h1, p)):
             solves += 1
+            vec = Vector(H, {h1[c]: value
+                             for c, value in enumerate(solution) if value})
             if not vec.is_zero():
                 f_p.set_entry(idx, vec)
         f_tables[p] = f_p

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .core import (
     GradedVectorSpace, MultilinearMap, Vector, accumulate, canonical_tuples,
-    half_sum_splits, parallel_map, repeat_pattern, shuffle_splits,
+    half_sum_splits, repeat_pattern, shuffle_splits,
 )
 from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitting
 
@@ -136,8 +136,7 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
                  if inner is not None and outer is not None]
         if not pairs:
             continue
-
-        def defect_at(idx, pairs=pairs, n=n):
+        for idx in canonical_tuples(space, n, 3 - n):
             parities = _parities(space, idx)
             repeats = repeat_pattern(idx)
             total = {}
@@ -149,10 +148,7 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
                         continue
                     args = [head] + [space.basis_vector(idx[s]) for s in rest]
                     accumulate(total, outer.evaluate(args), c * outer_sign)
-            return idx, Vector(space, total)
-
-        for idx, defect in parallel_map(
-                defect_at, canonical_tuples(space, n, 3 - n)):
+            defect = Vector(space, total)
             if not defect.is_zero():
                 out.append(Violation(
                     f"generalized_jacobi_{n}",
@@ -230,11 +226,10 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     tgt = m.target
     out = []
     for n in range(1, up_to + 1):
-
-        def defect_at(idx, n=n):
+        for idx in canonical_tuples(src, n, 2 - n, tgt.space.degrees):
             parities = _parities(src, idx)
             repeats = repeat_pattern(idx)
-            defect = {}
+            total = {}
             for p, terms in half_sum_splits(n, parities, repeats):
                 g_left = m.taylor.get(p)
                 g_right = m.taylor.get(n - p)
@@ -247,10 +242,10 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
                     right = g_right.evaluate_indices(tuple([idx[s] for s in second]))
                     if right.is_zero():
                         continue
-                    accumulate(defect, tgt.bracket.evaluate([left, right]), c)
+                    accumulate(total, tgt.bracket.evaluate([left, right]), c)
             g_n = m.taylor.get(n)
             if g_n is not None:
-                accumulate(defect, tgt.d.apply(g_n.evaluate_indices(idx)))
+                accumulate(total, tgt.d.apply(g_n.evaluate_indices(idx)))
             for k in range(1, n + 1):
                 inner = m.source.brackets.get(k)
                 g_out = m.taylor.get(n - k + 1)
@@ -263,11 +258,8 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
                         continue
                     args = [head] + [src.basis_vector(idx[s]) for s in rest]
                     # the right-hand side, moved over
-                    accumulate(defect, g_out.evaluate(args), -c * outer_sign)
-            return idx, Vector(tgt.space, defect)
-
-        for idx, defect in parallel_map(
-                defect_at, canonical_tuples(src, n, 2 - n, tgt.space.degrees)):
+                    accumulate(total, g_out.evaluate(args), -c * outer_sign)
+            defect = Vector(tgt.space, total)
             if not defect.is_zero():
                 out.append(Violation(
                     f"morphism_relation_{n}",
@@ -313,8 +305,7 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
     for p in range(2, N + 1):
         iota_p = MultilinearMap(H, A.space, p, 1 - p)
         bracket_p = MultilinearMap(H, H, p, 2 - p)
-
-        def pre_value(idx, p=p):
+        for idx in canonical_tuples(H, p, 2 - p, A.space.degrees):
             total = {}
             for k, terms in half_sum_splits(p, _parities(H, idx),
                                             repeat_pattern(idx)):
@@ -332,10 +323,7 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
                     if right.is_zero():
                         continue
                     accumulate(total, A.bracket.evaluate([left, right]), c)
-            return idx, Vector(A.space, total)
-
-        for idx, value in parallel_map(
-                pre_value, canonical_tuples(H, p, 2 - p, A.space.degrees)):
+            value = Vector(A.space, total)
             if value.is_zero():
                 continue
             homotopy_part = s.h.apply(value)

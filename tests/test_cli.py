@@ -261,3 +261,47 @@ def test_internal_error_exits_three_with_one_line(corpus_files, tmp_path,
     assert err.startswith("internal error: inclusion fails its morphism "
                           "relations")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_the_parser_is_built_once_per_process(corpus_files, capsys,
+                                              monkeypatch):
+    import argparse
+    import gradedlie.cli
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    gradedlie.cli.build_parser.cache_clear()
+    assert run(capsys, "validate", corpus_files["nocontraction"])[0] == 0
+    first = list(built)
+    assert first.count("gradedlie") == 1
+    assert run(capsys, "cohomology", corpus_files["nocontraction"])[0] == 0
+    assert built == first
+
+
+def test_a_usage_error_exits_two_with_a_warm_parser(corpus_files, capsys):
+    assert run(capsys, "validate", corpus_files["nocontraction"])[0] == 0
+    for argv in (["transfer"], ["transfer", corpus_files["nocontraction"],
+                                "--arity", "x"], ["nosuch"]):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    assert run(capsys, "validate", corpus_files["nocontraction"])[0] == 0
+
+
+def test_a_differential_that_does_not_square_to_zero_is_named(
+        corpus_files, tmp_path, capsys):
+    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    text = text.replace("  p -> dp\n", "  p -> dp\n  db -> 2*dp\n")
+    bad = tmp_path / "dsquared.alg"
+    bad.write_text(text[:text.index("splitting\n")], encoding="utf-8")
+    code, out, err = run(capsys, "cohomology", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: differential does not square to zero: "
+                   "d(d(b)) = 2*dp\n")

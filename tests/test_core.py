@@ -14,7 +14,7 @@ from gradedlie.core import (
     accumulate, canonical_tuples, coordinates_in_span, echelon_vectors,
     enumerate_shuffles, half_sum_splits, kernel_vectors, koszul_sign,
     repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
-    sort_basis_tuple, worker_count,
+    sort_basis_tuple,
 )
 
 from oracles import (
@@ -712,15 +712,3 @@ def test_echelon_vectors_deterministic():
     vecs = [V.vector({"x": 2, "y": 2}), V.vector({"x": 1})]
     ech = echelon_vectors(vecs, V)
     assert [repr(v) for v in ech] == ["x", "y"]
-
-
-# --- thread knob ------------------------------------------------------------------
-
-def test_worker_count_from_env(monkeypatch):
-    monkeypatch.setenv("LF_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LF_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("LF_THREADS", "x")
-    with pytest.raises(ValueError):
-        worker_count()

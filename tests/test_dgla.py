@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -95,18 +96,21 @@ def test_validation_evaluates_no_tuple_without_a_degree_to_land_in(monkeypatch):
     """In degrees 1-2 a Leibniz defect (degree sum + 1) and a Jacobi
     defect (degree sum) sit in degree 3 or more, outside the algebra, so
     no pair or triple is handed to the evaluation at all."""
-    handed = []
+    handed = {}
 
-    def recording(fn, items):
-        items = list(items)
-        handed.append(len(items))
-        return [fn(x) for x in items]
+    def recording(space, arity, shift=None, degrees=None):
+        items = list(canonical_tuples(space, arity, shift, degrees))
+        caller = sys._getframe(1).f_code.co_name
+        handed.setdefault(caller, []).append(((arity, shift), len(items)))
+        return iter(items)
 
-    monkeypatch.setattr(dgla, "parallel_map", recording)
+    monkeypatch.setattr(dgla, "canonical_tuples", recording)
     A = random_quasi_cyclic_two_step(random.Random(0), 4, 6).algebra
     assert set(A.space.degrees) == {1, 2}
     assert validate_dgla(A) == []
-    assert handed == [0, 0]
+    skew, leibniz, jacobi = handed["validate_dgla"]
+    assert skew[0] == (2, 0)
+    assert [leibniz, jacobi] == [((2, 1), 0), ((3, 0), 0)]
 
 
 def test_a_bracket_breaking_leibniz_and_jacobi_is_still_reported():

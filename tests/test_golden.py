@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,25 @@ def document_files(tmp_path_factory):
 def test_structured_output_matches_golden(stem, name, command, document_files):
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert _outcome(name, command, document_files) == expected
+
+
+def test_every_subcommand_runs_without_starting_a_thread(document_files,
+                                                          monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for stem, name, command in _cases():
+        expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+        assert _outcome(name, command, document_files) == expected, stem
+
+
+def test_an_arity_option_does_not_stick_to_the_next_call(document_files):
+    # the parser is built once per process; each call starts from defaults
+    _outcome("nocontraction", ("transfer", "--arity", "5"), document_files)
+    expected = (GOLDEN / "nocontraction-transfer.json").read_text(
+        encoding="utf-8")
+    assert _outcome("nocontraction", ("transfer",), document_files) == expected
 
 
 if __name__ == "__main__":
