@@ -42,8 +42,9 @@ bracket.set_entry(("b", "x"), space.basis_vector("y"))
 A = DgLieAlgebra(space, d, bracket)
 
 # ---------------------------------------------------------------------------
-# Validation re-derives d^2 = 0, graded skewness, Leibniz, and Jacobi
-# on every basis tuple.  An empty list means the laws hold exactly.
+# Validation re-derives d^2 = 0, Leibniz, and Jacobi on every basis
+# tuple (graded skewness is structural: the bracket is stored once per
+# sorted tuple).  An empty list means the laws hold exactly.
 # ---------------------------------------------------------------------------
 print("\nviolations:", validate_dgla(A))
 

@@ -91,13 +91,20 @@ def _validate_doc(doc):
         A = Q.algebra
     else:
         A = document_to_algebra(doc)
-    findings = [_violation_finding(v) for v in validate_dgla(A)]
+    violations = validate_dgla(A)
+    findings = [_violation_finding(v) for v in violations]
     splitting = document_splitting(doc, A)
     if splitting is not None:
         findings.extend(_violation_finding(v)
                         for v in verify_splitting(splitting))
     quasi_cyclic = True
-    if Q is not None:
+    if (Q is not None and splitting is None
+            and any(v.identity == "d_squared" for v in violations)):
+        # classifying the pairing needs a splitting, and none can be
+        # computed when d^2 != 0; the violations already make this a FAIL
+        findings.append(_note("pairing not classified: no splitting "
+                              "exists while d^2 != 0"))
+    elif Q is not None:
         report = validate_pairing(Q, splitting)
         findings.append({"kind": "pairing-status", "text": report.status()})
         findings.extend(_violation_finding(v) for v in report.violations)

@@ -26,7 +26,8 @@ __all__ = [
     "GradedVectorSpace", "Vector", "LinearMap", "MultilinearMap",
     "koszul_sign", "enumerate_shuffles", "signed_shuffles",
     "repeat_pattern", "shuffle_splits", "half_sum_splits",
-    "sort_basis_tuple", "accumulate",
+    "sort_basis_tuple", "accumulate", "accumulate_composites",
+    "jacobi_defects",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
 ]
@@ -297,6 +298,55 @@ def canonical_tuples(space, arity, shift=None, degrees=None):
         frontier = grown
     for prefix, _, _ in frontier:
         yield prefix
+
+
+def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
+                          factor=1) -> None:
+    """Add ``factor`` times the nested shuffle sum at a sorted tuple.
+
+    The sum is, over k = 1..n (n = len(idx)), (-1)^(n-k) times the
+    (k, n-k)-shuffle sum of the Koszul sign times
+    outer_(n-k+1)(inner_k(first block), rest), with ``inner_ops`` and
+    ``outer_ops`` mapping arity to operation (a missing arity is zero).
+    The shuffles go through :func:`shuffle_splits`; ``total`` is a
+    coefficient dict owned by the caller, as for :func:`accumulate`.
+    """
+    n = len(idx)
+    parities = tuple([space.degrees[i] % 2 for i in idx])
+    repeats = repeat_pattern(idx)
+    for k in range(1, n + 1):
+        inner = inner_ops.get(k)
+        outer = outer_ops.get(n - k + 1)
+        if inner is None or outer is None:
+            continue
+        sign = -factor if (n - k) % 2 else factor
+        for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
+            head = inner.evaluate_indices(tuple([idx[s] for s in first]))
+            if head.is_zero():
+                continue
+            args = [head] + [space.basis_vector(idx[s]) for s in rest]
+            accumulate(total, outer.evaluate(args), c * sign)
+
+
+def jacobi_defects(space, ops, n):
+    """The nonzero arity-n generalized Jacobi defects, in sorted order.
+
+    Yields ``(idx, defect)`` for each canonical tuple where the nested
+    shuffle sum of ``ops`` (arity -> operation of degree 2 - arity) with
+    itself does not vanish.  The defect has degree (input sum) + 3 - n,
+    so only the tuples with a degree to land in are visited; none at all
+    when no arity k has both ops k and n - k + 1.  For a DG-Lie algebra
+    as {1: d, 2: bracket}, n = 1 is d^2, n = 2 the Leibniz defect and
+    n = 3 minus the Jacobi sum over the (2, 1)-shuffles.
+    """
+    if all(ops.get(k) is None or ops.get(n - k + 1) is None
+           for k in range(1, n + 1)):
+        return
+    for idx in canonical_tuples(space, n, 3 - n):
+        total = {}
+        accumulate_composites(total, space, idx, ops, ops)
+        if total:
+            yield idx, Vector._owning(space, total)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Scalar, Vector, accumulate,
-    as_scalar, coordinates_in_span, kernel_vectors, rref,
+    as_scalar, coordinates_in_span, jacobi_defects, kernel_vectors, rref,
 )
 from .dgla import (
     DgLieAlgebra, Splitting, Violation, compute_splitting, restrict_to_span,
@@ -321,17 +321,13 @@ class SymplecticRepresentation:
             out.append(Violation("omega_nondegenerate", tuple(self.v_labels),
                                  f"rank {len(rref(self.omega)[1])} < {m}"))
         glabels = self.lie_space.labels
-        for a in glabels:
-            for b in glabels:
-                for c in glabels:
-                    acc = self.lie_space.zero()
-                    for x, y, z, sgn in ((a, b, c, 1), (b, c, a, 1), (c, a, b, 1)):
-                        inner = self.lie_bracket.evaluate(
-                            [self.lie_space.basis_vector(x), self.lie_space.basis_vector(y)])
-                        acc = acc + self.lie_bracket.evaluate(
-                            [inner, self.lie_space.basis_vector(z)]).scale(sgn)
-                    if not acc.is_zero():
-                        out.append(Violation("lie_jacobi", (a, b, c), f"defect {acc}"))
+        # the cyclic sum [[a, b], c] + [[b, c], a] + [[c, a], b], once per
+        # sorted triple: minus the arity-3 generalized Jacobi defect
+        for idx, defect in jacobi_defects(self.lie_space,
+                                          {2: self.lie_bracket}, 3):
+            out.append(Violation("lie_jacobi",
+                                 tuple(glabels[i] for i in idx),
+                                 f"defect {-defect}"))
         for a in glabels:
             for b in glabels:
                 bracket_vec = self.lie_bracket.evaluate(

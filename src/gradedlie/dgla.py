@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from .core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
     canonical_tuples, coordinates_in_span, echelon_vectors,
-    extend_to_complement, kernel_vectors, koszul_sign, rref,
-    signed_shuffles, solve_dense,
+    extend_to_complement, jacobi_defects, kernel_vectors, rref, solve_dense,
 )
 
 __all__ = [
@@ -59,6 +58,13 @@ class DgLieAlgebra:
         self.d = differential
         self.bracket = bracket
 
+    def operations(self) -> dict:
+        """{1: d as an arity-1 map, 2: bracket}, the L-infinity view."""
+        d_op = MultilinearMap(self.space, self.space, 1, 1)
+        for i, column in self.d.columns.items():
+            d_op.set_entry((i,), column)
+        return {1: d_op, 2: self.bracket}
+
     def bracket_of(self, u: Vector, v: Vector) -> Vector:
         return self.bracket.evaluate([u, v])
 
@@ -70,60 +76,25 @@ class DgLieAlgebra:
 
 
 def validate_dgla(A: DgLieAlgebra):
-    """Check d^2 = 0, graded skew-symmetry, Leibniz, and Jacobi exactly."""
-    space = A.space
-    out = [Violation("d_squared", (space.labels[i],), f"d(d(.)) = {v}")
-           for i, v in _d_squared_defects(A)]
-    # skew-symmetry holds structurally for canonically stored brackets, but
-    # evaluate both orders anyway so the check stays meaningful for any input
-    for i, j in canonical_tuples(space, 2, 0):
-        ei, ej = space.basis_vector(i), space.basis_vector(j)
-        sign = koszul_sign([1, 0], [space.degrees[i], space.degrees[j]])
-        defect = A.bracket.evaluate([ej, ei]) - A.bracket.evaluate([ei, ej]).scale(sign)
-        if not defect.is_zero():
-            out.append(Violation("skew_symmetry",
-                                 (space.labels[i], space.labels[j]), f"defect {defect}"))
+    """Check d^2 = 0, Leibniz, and Jacobi exactly.
 
-    for i, j in canonical_tuples(space, 2, 1):
-        ei, ej = space.basis_vector(i), space.basis_vector(j)
-        lhs = A.d.apply(A.bracket.evaluate([ei, ej]))
-        rhs = A.bracket.evaluate([A.d.apply(ei), ej])
-        term = A.bracket.evaluate([ei, A.d.apply(ej)])
-        defect = lhs - (rhs + (term if space.degrees[i] % 2 == 0 else -term))
-        if not defect.is_zero():
-            out.append(Violation("leibniz", (space.labels[i], space.labels[j]),
-                                 f"defect {defect}"))
-
-    for idx in canonical_tuples(space, 3, 0):
-        defect = _jacobi_defect(A.bracket, space, idx)
-        if defect:
-            out.append(Violation("jacobi", tuple(space.labels[i] for i in idx),
-                                 f"defect {Vector(space, defect)}"))
-    return out
-
-
-def _d_squared_defects(A: DgLieAlgebra):
-    """(i, d(d(e_i))) for every basis index i where d^2 does not vanish."""
-    for i in range(A.space.dim):
-        v = A.d.apply(A.d.apply(A.space.basis_vector(i)))
-        if not v.is_zero():
-            yield i, v
-
-
-def _jacobi_defect(bracket: MultilinearMap, space, idx) -> dict:
-    """Coefficients of the graded Jacobi sum at a basis triple.
-
-    The sum of sign * [[x, y], z] over the (2, 1)-shuffles, accumulated
-    into one dict; empty exactly when the identity holds there.
+    They are the generalized Jacobi identities of arity 1, 2 and 3 of
+    {1: d, 2: bracket}, walked by :func:`core.jacobi_defects`; the Jacobi
+    defect reported is the classical sum, minus the arity-3 one.  Graded
+    skew-symmetry is structural: a :class:`MultilinearMap` stores one
+    entry per canonical tuple and evaluates every other order through it
+    with the Koszul sign, so there is nothing to check.
     """
-    acc = {}
-    parities = tuple(space.degrees[i] % 2 for i in idx)
-    for sigma, sign in signed_shuffles(2, 1, parities):
-        inner = bracket.evaluate_indices((idx[sigma[0]], idx[sigma[1]]))
-        last = idx[sigma[2]]
-        for a, c in inner.coeffs.items():
-            accumulate(acc, bracket.evaluate_indices((a, last)), sign * c)
-    return acc
+    space = A.space
+    ops = A.operations()
+    labels = lambda idx: tuple(space.labels[i] for i in idx)
+    out = [Violation("d_squared", labels(idx), f"d(d(.)) = {v}")
+           for idx, v in jacobi_defects(space, ops, 1)]
+    out += [Violation("leibniz", labels(idx), f"defect {v}")
+            for idx, v in jacobi_defects(space, ops, 2)]
+    out += [Violation("jacobi", labels(idx), f"defect {-v}")
+            for idx, v in jacobi_defects(space, ops, 3)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +200,9 @@ def compute_splitting(A: DgLieAlgebra) -> Splitting:
         return Splitting(A, h_vectors, k_vectors)
     except ValueError:
         # with d^2 != 0 the counts above mean nothing; name the cause
-        defect = next(_d_squared_defects(A), None)
+        defect = next(jacobi_defects(L, A.operations(), 1), None)
         if defect is not None:
-            i, v = defect
+            (i,), v = defect
             raise ValueError(f"differential does not square to zero: "
                              f"d(d({L.labels[i]})) = {v}") from None
         raise
@@ -534,13 +505,9 @@ def cohomology(A: DgLieAlgebra, splitting: Splitting | None = None) -> Cohomolog
         value = s.pi.apply(A.bracket_of(s.h_vectors[idx[0]], s.h_vectors[idx[1]]))
         if not value.is_zero():
             bracket.set_entry(idx, value)
-    violations = []
-    for idx in canonical_tuples(H, 3, 0):
-        defect = _jacobi_defect(bracket, H, idx)
-        if defect:
-            violations.append(Violation("jacobi_induced",
-                                        tuple(H.labels[i] for i in idx),
-                                        f"defect {Vector(H, defect)}"))
+    violations = [Violation("jacobi_induced", tuple(H.labels[i] for i in idx),
+                            f"defect {-v}")
+                  for idx, v in jacobi_defects(H, {2: bracket}, 3)]
     dims = {}
     for deg in H.degrees_present():
         dims[deg] = len(H.indices_of_degree(deg))

@@ -14,9 +14,13 @@ degree 1 - n.
 Evaluation strategy: every shuffle sum runs over a canonical (sorted)
 tuple, and goes through :func:`core.shuffle_splits`, which merges the
 shuffles that pick the same sub-multiset of the tuple into one term, so
-a repeated class costs one evaluation per distinct split.  The
-half-sums of brackets of two blocks (the transfer recursion and the
-left side of the morphism relation) go through
+a repeated class costs one evaluation per distinct split.  The nested
+sums of one operation applied after another (the generalized Jacobi
+identities and the right side of the morphism relation) are one
+primitive, :func:`core.accumulate_composites`, which also serves the
+DG-Lie checks in :mod:`dgla`; it lives in ``core`` because this module
+imports ``dgla``.  The half-sums of brackets of two blocks (the
+transfer recursion and the left side of the morphism relation) go through
 :func:`core.half_sum_splits`, which also evaluates each split and its
 block swap once: graded antisymmetry of the stored bracket makes the
 two terms equal, so only the split into two equal halves keeps the
@@ -33,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    GradedVectorSpace, MultilinearMap, Vector, accumulate, canonical_tuples,
-    half_sum_splits, repeat_pattern, shuffle_splits,
+    GradedVectorSpace, MultilinearMap, Vector, accumulate,
+    accumulate_composites, canonical_tuples, half_sum_splits, jacobi_defects,
+    repeat_pattern,
 )
 from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitting
 
@@ -86,10 +91,7 @@ class LInftyAlgebra:
         """View a DGLA as an L-infinity algebra (differential = arity 1)."""
         if arity_bound is None:
             arity_bound = A.space.dim + 2
-        d_op = MultilinearMap(A.space, A.space, 1, 1)
-        for i, column in A.d.columns.items():
-            d_op.set_entry((i,), column)
-        return cls(A.space, {1: d_op, 2: A.bracket}, arity_bound)
+        return cls(A.space, A.operations(), arity_bound)
 
     def operation(self, n: int) -> MultilinearMap:
         """The arity-n operation; the zero map when none is stored."""
@@ -118,8 +120,9 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
     The arity-n identity sums, over splittings n = k + (n-k) and
     (k, n-k)-shuffles, the sign (-1)^(n-k) times the Koszul sign of the
     shuffle, applied to nesting the arity-k operation inside the
-    arity-(n-k+1) one.  For a DGLA viewed as an L-infinity algebra, n = 1
-    is d^2 = 0, n = 2 is the Leibniz rule, and n = 3 is Jacobi.
+    arity-(n-k+1) one: :func:`core.jacobi_defects`, the walk that
+    ``validate_dgla`` runs on {1: d, 2: bracket}, where n = 1 is d^2 = 0,
+    n = 2 is the Leibniz rule, and n = 3 is Jacobi.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -127,33 +130,13 @@ def check_linfty_axioms(A: LInftyAlgebra, up_to: int) -> list:
         raise ValueError(
             f"cannot check arity {up_to}: brackets are only tracked to "
             f"{A.arity_bound}")
-    space = A.space
     out = []
     for n in range(1, up_to + 1):
-        pairs = [(k, A.brackets.get(k), A.brackets.get(n - k + 1))
-                 for k in range(1, n + 1)]
-        pairs = [(k, inner, outer) for k, inner, outer in pairs
-                 if inner is not None and outer is not None]
-        if not pairs:
-            continue
-        for idx in canonical_tuples(space, n, 3 - n):
-            parities = _parities(space, idx)
-            repeats = repeat_pattern(idx)
-            total = {}
-            for k, inner, outer in pairs:
-                outer_sign = -1 if (n - k) % 2 else 1
-                for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
-                    head = inner.evaluate_indices(tuple([idx[s] for s in first]))
-                    if head.is_zero():
-                        continue
-                    args = [head] + [space.basis_vector(idx[s]) for s in rest]
-                    accumulate(total, outer.evaluate(args), c * outer_sign)
-            defect = Vector(space, total)
-            if not defect.is_zero():
-                out.append(Violation(
-                    f"generalized_jacobi_{n}",
-                    tuple(space.labels[i] for i in idx),
-                    f"defect {defect}"))
+        for idx, defect in jacobi_defects(A.space, A.brackets, n):
+            out.append(Violation(
+                f"generalized_jacobi_{n}",
+                tuple(A.space.labels[i] for i in idx),
+                f"defect {defect}"))
     return out
 
 
@@ -214,7 +197,8 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     [g_p(...), g_(n-p)(...)], each weighted by the Koszul sign and by
     (-1)^((1-n+p)(sum of the first p input degrees - p)), plus d g_n,
     against the shuffle sum of g_(n-k+1) applied after the source arity-k
-    bracket, weighted by the Koszul sign times (-1)^(n-k).
+    bracket, weighted by the Koszul sign times (-1)^(n-k): the nested sum
+    of :func:`core.accumulate_composites`, subtracted.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -227,10 +211,9 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     out = []
     for n in range(1, up_to + 1):
         for idx in canonical_tuples(src, n, 2 - n, tgt.space.degrees):
-            parities = _parities(src, idx)
-            repeats = repeat_pattern(idx)
             total = {}
-            for p, terms in half_sum_splits(n, parities, repeats):
+            for p, terms in half_sum_splits(n, _parities(src, idx),
+                                            repeat_pattern(idx)):
                 g_left = m.taylor.get(p)
                 g_right = m.taylor.get(n - p)
                 if g_left is None or g_right is None:
@@ -246,19 +229,9 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
             g_n = m.taylor.get(n)
             if g_n is not None:
                 accumulate(total, tgt.d.apply(g_n.evaluate_indices(idx)))
-            for k in range(1, n + 1):
-                inner = m.source.brackets.get(k)
-                g_out = m.taylor.get(n - k + 1)
-                if inner is None or g_out is None:
-                    continue
-                outer_sign = -1 if (n - k) % 2 else 1
-                for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
-                    head = inner.evaluate_indices(tuple([idx[s] for s in first]))
-                    if head.is_zero():
-                        continue
-                    args = [head] + [src.basis_vector(idx[s]) for s in rest]
-                    # the right-hand side, moved over
-                    accumulate(total, g_out.evaluate(args), -c * outer_sign)
+            # the right-hand side, moved over
+            accumulate_composites(total, src, idx, m.source.brackets,
+                                  m.taylor, -1)
             defect = Vector(tgt.space, total)
             if not defect.is_zero():
                 out.append(Violation(

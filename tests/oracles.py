@@ -372,6 +372,37 @@ def linfty_axiom_violations_naive(structure, up_to):
     return out
 
 
+def lie_jacobi_cyclic_sums_naive(labels, brackets):
+    """The classical Jacobi sum [[a, b], c] + [[b, c], a] + [[c, a], b] of
+    a degree-0 Lie bracket at every ordered label triple where it does not
+    vanish, as {(a, b, c): {label: Fraction}}.  The bracket is read from
+    the ordered-pair expansions ``brackets`` and extended by
+    antisymmetry, on plain dicts."""
+    table = {}
+    for (x, y), expansion in brackets.items():
+        table[(x, y)] = {l: Fraction(c) for l, c in expansion.items()}
+        table[(y, x)] = {l: -Fraction(c) for l, c in expansion.items()}
+
+    def bracket(u, v):
+        out = {}
+        for x, a in u.items():
+            for y, b in v.items():
+                for l, c in table.get((x, y), {}).items():
+                    out[l] = out.get(l, 0) + a * b * c
+        return {l: c for l, c in out.items() if c}
+
+    sums = {}
+    for a, b, c in itertools.product(labels, repeat=3):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for l, v in bracket(bracket({x: 1}, {y: 1}), {z: 1}).items():
+                total[l] = total.get(l, 0) + v
+        total = {l: v for l, v in total.items() if v}
+        if total:
+            sums[(a, b, c)] = total
+    return sums
+
+
 def degree_rich_algebras(edits_per_document=6):
     """(name, DGLA) inputs whose checks have tuples on both sides of the
     degree prune: the bundled documents that have such tuples, seeded

@@ -305,3 +305,23 @@ def test_a_differential_that_does_not_square_to_zero_is_named(
     assert out == ""
     assert err == ("error: differential does not square to zero: "
                    "d(d(b)) = 2*dp\n")
+
+
+def test_validate_fails_on_d_squared_with_a_pairing_and_no_splitting(
+        corpus_files, tmp_path, capsys):
+    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    text = text.replace("  p -> dp\n", "  p -> dp\n  db -> 2*dp\n")
+    bad = tmp_path / "dsquared.alg"
+    bad.write_text(text[:text.index("splitting\n")], encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(bad),
+                         "--format", "structured")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "FAIL"
+    findings = payload["findings"]
+    assert findings[0] == {"kind": "violation", "identity": "d_squared",
+                           "where": ["b"], "detail": "d(d(.)) = 2*dp"}
+    assert findings[-1]["kind"] == "note"
+    assert "pairing not classified" in findings[-1]["text"]
+    assert not any(f["kind"] == "pairing-status" for f in findings)

@@ -403,18 +403,24 @@ def test_evaluate_at_permuted_arguments_matches_koszul_sign(rng):
         targets = V.indices_of_degree(expected)
         if not targets:
             continue
+        value = V.basis_vector(rng.choice(targets)).scale(rng.randrange(1, 4))
+        if rng.random() < 0.5:
+            # straight into the table, past set_entry, as a corpus
+            # perturbation does: skew-symmetry must still come from the
+            # signed lookup alone
+            f.table.setdefault(canon, value)
+            continue
         try:
-            f.set_entry(canon, V.basis_vector(rng.choice(targets)).scale(rng.randrange(1, 4)))
+            f.set_entry(canon, value)
         except ValueError:
             continue  # conflicting random assignment; irrelevant here
     args = [rng.randrange(4) for _ in range(arity)]
-    perm = list(range(arity))
-    rng.shuffle(perm)
-    permuted = [args[perm[i]] for i in range(arity)]
-    sign = koszul_sign(perm, [V.degrees[i] for i in args])
-    lhs = f.evaluate([V.basis_vector(i) for i in permuted])
-    rhs = f.evaluate([V.basis_vector(i) for i in args]).scale(sign)
-    assert lhs == rhs
+    rhs = f.evaluate([V.basis_vector(i) for i in args])
+    for perm in itertools.permutations(range(arity)):
+        permuted = [args[perm[i]] for i in range(arity)]
+        sign = koszul_sign(perm, [V.degrees[i] for i in args])
+        lhs = f.evaluate([V.basis_vector(i) for i in permuted])
+        assert lhs == rhs.scale(sign)
 
 
 # --- exact kernel against a plain Fraction reference ----------------------------

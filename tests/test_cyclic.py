@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gradedlie.core import coordinates_in_span
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
-    from_symplectic_representation, maurer_cartan_functional,
+    SymplecticRepresentation, from_symplectic_representation, maurer_cartan_functional,
     _cyclicity_violations, normalize_splitting, validate_pairing,
 )
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
@@ -19,7 +19,8 @@ from gradedlie.corpus import (
 )
 
 from oracles import (
-    assert_exact_scalar, build_algebra, pairing_cyclic_violations_naive,
+    assert_exact_scalar, build_algebra, lie_jacobi_cyclic_sums_naive,
+    pairing_cyclic_violations_naive,
 )
 
 
@@ -171,6 +172,23 @@ def test_diagonal_action_induces_the_expected_instance():
     assert validate_pairing(Q).status() == "cyclic of degree 2"
 
 
+def test_a_bracket_breaking_jacobi_is_reported_once_per_sorted_triple():
+    # sl2 with the sign of [h, f] flipped: not a Lie algebra
+    labels = ["e", "f", "h"]
+    brackets = {("e", "f"): {"h": 1}, ("h", "e"): {"e": 1},
+                ("h", "f"): {"f": 1}}
+    R = SymplecticRepresentation(labels, brackets, ["v1", "v2"], {},
+                                 [[0, 1], [-1, 0]])
+    sums = lie_jacobi_cyclic_sums_naive(labels, brackets)
+    assert {tuple(sorted(t, key=labels.index)) for t in sums} \
+        == {("e", "f", "h")}
+    expected = [("lie_jacobi", t, f"defect {R.lie_space.vector(s)}")
+                for t, s in sums.items()
+                if list(t) == sorted(t, key=labels.index)]
+    assert expected == [("lie_jacobi", ("e", "f", "h"), "defect 2*h")]
+    assert [(v.identity, v.where, v.detail) for v in R.validate()] == expected
+
+
 def test_quadratic_functional_on_the_diagonal_instance():
     Q = from_symplectic_representation(diagonal_symplectic())
     V = Q.space
@@ -295,7 +313,7 @@ def test_perturbations_are_caught_or_legitimately_valid():
         if bad:
             caught += 1
             assert all(v.identity in
-                       {"d_squared", "skew_symmetry", "leibniz", "jacobi"}
+                       {"d_squared", "leibniz", "jacobi"}
                        for v in bad), desc
             continue
         rep = validate_pairing(P)

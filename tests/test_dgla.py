@@ -1,12 +1,11 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import dgla
+from gradedlie import core
 from gradedlie.core import LinearMap, canonical_tuples, coordinates_in_span
 from gradedlie.dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, cohomology,
@@ -100,17 +99,15 @@ def test_validation_evaluates_no_tuple_without_a_degree_to_land_in(monkeypatch):
 
     def recording(space, arity, shift=None, degrees=None):
         items = list(canonical_tuples(space, arity, shift, degrees))
-        caller = sys._getframe(1).f_code.co_name
-        handed.setdefault(caller, []).append(((arity, shift), len(items)))
+        handed.setdefault((arity, shift), []).append(len(items))
         return iter(items)
 
-    monkeypatch.setattr(dgla, "canonical_tuples", recording)
+    monkeypatch.setattr(core, "canonical_tuples", recording)
     A = random_quasi_cyclic_two_step(random.Random(0), 4, 6).algebra
     assert set(A.space.degrees) == {1, 2}
     assert validate_dgla(A) == []
-    skew, leibniz, jacobi = handed["validate_dgla"]
-    assert skew[0] == (2, 0)
-    assert [leibniz, jacobi] == [((2, 1), 0), ((3, 0), 0)]
+    leibniz, jacobi = handed[(2, 1)], handed[(3, 0)]
+    assert [leibniz, jacobi] == [[0], [0]]
 
 
 def test_a_bracket_breaking_leibniz_and_jacobi_is_still_reported():
