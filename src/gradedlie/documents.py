@@ -22,7 +22,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, Vector, format_scalar,
+    GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
+    format_scalar,
 )
 from .cyclic import CyclicPairing, QuasiCyclicDgla
 from .dgla import DgLieAlgebra, Splitting
@@ -90,8 +91,11 @@ def _tokens(text, line, offset):
 
 
 def _parse_rational(token, line, column):
+    """An exact scalar: int for plain digits, Fraction's grammar otherwise."""
     try:
-        return Fraction(token)
+        if token.isdigit() and token.isascii():
+            return int(token)
+        return as_scalar(Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational number, got {token!r}",
                          line, column) from None
@@ -130,7 +134,7 @@ def _parse_combination(text, line, offset, degrees, expected_degree, what):
                 label, label_col = tokens[i + 2]
                 i += 3
             elif _LABEL.match(token):
-                value = Fraction(1)
+                value = 1
                 label, label_col = token, column
                 i += 1
             else:
@@ -144,7 +148,7 @@ def _parse_combination(text, line, offset, degrees, expected_degree, what):
                     f"{what} must be homogeneous of degree "
                     f"{expected_degree}; {label!r} has degree "
                     f"{degrees[label]}", line, label_col)
-            out[label] = out.get(label, Fraction(0)) + sign * value
+            out[label] = out.get(label, 0) + sign * value
             sign = 1
             expect_term = False
         else:
@@ -159,7 +163,7 @@ def _parse_combination(text, line, offset, degrees, expected_degree, what):
             i += 1
     if expect_term:
         raise ParseError(f"dangling sign at the end of {what}", line, offset)
-    return {label: c for label, c in out.items() if c}
+    return {label: as_scalar(c) for label, c in out.items() if c}
 
 
 _BASIS_ENTRY = re.compile(r"\s+(\S+)\s+(-?\d+)\s*$")

@@ -12,7 +12,9 @@ formality witness.
 Every structural identity the recursion relies on is asserted exhaustively
 on basis tuples; under verified hypotheses those identities are theorems,
 so a failed assertion is the loudest possible bug detector and is treated
-as fatal.
+as fatal.  The degree-0 action enters those checks through rows [e_i, g]
+computed once per build, and each pairing functional of the inclusion is
+built once and shared by its invariance check and the coefficient solves.
 """
 
 from __future__ import annotations
@@ -281,22 +283,8 @@ def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
         raise ValueError(
             f"arity out of range: needs inclusion tables to arity "
             f"{max(j, p - j)}, transfer computed to {T.arity_bound}")
-    H = T.minimal.space
-    h1 = H.indices_of_degree(1)
-    left_map = T.inclusion.component(j)
-    right_map = T.inclusion.component(p - j)
-    table = {}
-    for left in itertools.combinations_with_replacement(h1, j):
-        lv = left_map.evaluate_indices(left)
-        if lv.is_zero():
-            continue
-        for right in itertools.combinations_with_replacement(h1, p - j):
-            rv = right_map.evaluate_indices(right)
-            if rv.is_zero():
-                continue
-            val = pairing.evaluate(lv, rv)
-            if val:
-                table[left + right] = val
+    table = _pairing_table(pairing.evaluate, T.inclusion.component(j),
+                           T.inclusion.component(p - j))
     if p >= 3 and j in (1, p - 1) and table:
         raise AssertionError(
             f"boundary functional (split {j}, {p - j}) must vanish when the "
@@ -305,25 +293,39 @@ def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
     return PairingFunctional(p, (j, p - j), "I", table)
 
 
-def _compute_F(H, pair_classes, f_tables, p: int, j: int) -> PairingFunctional:
+def _compute_F(pair_classes, f_tables, p: int, j: int) -> PairingFunctional:
     """Pair witness coefficients f_j against f_{p-j} on degree-1 tuples."""
-    h1 = H.indices_of_degree(1)
-    table = {}
     left_map = f_tables.get(j)
     right_map = f_tables.get(p - j)
+    table = {}
     if left_map is not None and right_map is not None:
-        for left in itertools.combinations_with_replacement(h1, j):
-            lv = _f_value(H, f_tables, j, left)
-            if lv.is_zero():
-                continue
-            for right in itertools.combinations_with_replacement(h1, p - j):
-                rv = _f_value(H, f_tables, p - j, right)
-                if rv.is_zero():
-                    continue
-                val = pair_classes(lv, rv)
-                if val:
-                    table[left + right] = val
+        table = _pairing_table(pair_classes, left_map, right_map)
     return PairingFunctional(p, (j, p - j), "F", table)
+
+
+def _pairing_table(pair, left_map, right_map) -> dict:
+    """``pair`` of the two maps' values on sorted degree-1 blocks, nonzero
+    entries only, keyed by the joined blocks."""
+    lefts = _nonzero_values(left_map)
+    rights = _nonzero_values(right_map) if lefts else []
+    table = {}
+    for left, lv in lefts:
+        for right, rv in rights:
+            val = pair(lv, rv)
+            if val:
+                table[left + right] = val
+    return table
+
+
+def _nonzero_values(op: MultilinearMap) -> list:
+    """(tuple, value) for the sorted degree-1 tuples where ``op`` is nonzero."""
+    out = []
+    for idx in itertools.combinations_with_replacement(
+            op.domain.indices_of_degree(1), op.arity):
+        value = op.evaluate_indices(idx)
+        if not value.is_zero():
+            out.append((idx, value))
+    return out
 
 
 def _f_value(H, f_tables, k: int, idx) -> Vector:
@@ -334,16 +336,6 @@ def _f_value(H, f_tables, k: int, idx) -> Vector:
     if table is None:
         return H.zero()
     return table.evaluate_indices(idx)
-
-
-def _f_apply(H, f_tables, k: int, args) -> Vector:
-    """Witness coefficient evaluated at arbitrary class vectors."""
-    if k == 1:
-        return args[0]
-    table = f_tables.get(k)
-    if table is None:
-        return H.zero()
-    return table.evaluate(args)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +499,25 @@ def _identity_map(H) -> MultilinearMap:
 
 
 def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
-    """The arity-recursion for pairing degree 2, with all lemma assertions."""
+    """The arity-recursion for pairing degree 2, with all lemma assertions.
+
+    Every degree-0 sum reads the action rows [e_i, g] built up front, so a
+    slot acted on by g is a short sum of basis tuples; the functionals
+    I(q, j) are computed once, in the invariance check, and the coefficient
+    solves read them from ``i_funcs``.
+    """
     A = Q.algebra
     H = s.h_space
     h1 = H.indices_of_degree(1)
     bracket2 = T.minimal.operation(2)
-    g_classes = [H.basis_vector(i) for i in H.indices_of_degree(0)]
-
-    def acted(idx, slot, g):
-        """Basis tuple as vectors, with one slot bracketed against g."""
-        args = [H.basis_vector(i) for i in idx]
-        args[slot] = bracket2.evaluate([args[slot], g])
-        return args
+    h0 = H.indices_of_degree(0)
+    g_classes = [H.basis_vector(i) for i in h0]
+    g_images = [s.iota1.apply(g) for g in g_classes]
+    t_images = {t: s.iota1.apply(H.basis_vector(t)) for t in h1}
+    # the action row of each degree-0 class g: [e_i, g] as (t, c) pairs,
+    # for every degree-1 class i
+    rows = [{i: tuple(bracket2.evaluate_indices((i, g)).coeffs.items())
+             for i in h1} for g in h0]
 
     # vanishing on degree-0 slots, and outside all-degree-1 tuples
     checked = 0
@@ -558,8 +557,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
             if lv.is_zero():
                 continue
             for t in h1:
-                boundary = s.pi.apply(
-                    A.bracket.evaluate([lv, s.iota1.apply(H.basis_vector(t))]))
+                boundary = s.pi.apply(A.bracket.evaluate([lv, t_images[t]]))
                 assert boundary.is_zero(), (
                     f"boundary term of the arity-{p} recursion must vanish; "
                     f"at {tuple(H.labels[i] for i in left)} | {H.labels[t]} "
@@ -600,11 +598,9 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         inclusion_p = T.inclusion.component(p)
         for idx in itertools.combinations_with_replacement(h1, p):
             iv = inclusion_p.evaluate_indices(idx)
-            for g in g_classes:
-                lhs = A.bracket.evaluate([iv, s.iota1.apply(g)])
-                rhs = A.space.zero()
-                for slot in range(p):
-                    rhs = rhs + inclusion_p.evaluate(acted(idx, slot, g))
+            for g, g_image, row in zip(g_classes, g_images, rows):
+                lhs = A.bracket.evaluate([iv, g_image])
+                rhs = _acted_value(inclusion_p, idx, row)
                 assert lhs == rhs, (
                     f"arity-{p} inclusion fails equivariance at "
                     f"{tuple(H.labels[i] for i in idx)} under {g}: "
@@ -612,18 +608,18 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                 checked += 1
     report.append(f"inclusion equivariance checked on {checked} pairs")
 
-    # invariance of the inclusion pairings under the degree-0 action
+    # invariance of the inclusion pairings under the degree-0 action; the
+    # coefficient recursion reads the same functionals from i_funcs
     checked = 0
+    i_funcs = {}
     for q in range(2, N + 2):
         for j in range(1, q):
             if max(j, q - j) > N:
                 continue
-            func = compute_I(T, Q.pairing, q, j)
+            func = i_funcs[q, j] = compute_I(T, Q.pairing, q, j)
             for idx in itertools.combinations_with_replacement(h1, q):
-                for g in g_classes:
-                    total = 0
-                    for slot in range(q):
-                        total += func.evaluate(acted(idx, slot, g))
+                for g, row in zip(g_classes, rows):
+                    total = _acted_sum(func, idx, row)
                     assert total == 0, (
                         f"inclusion pairing (split {j}, {q - j}) is not "
                         f"invariant at {tuple(H.labels[i] for i in idx)} "
@@ -644,16 +640,12 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     f_tables = {1: _identity_map(H)}
     solves = 0
     for p in range(3, N + 1):
-        i_funcs = {j: compute_I(T, Q.pairing, p + 1, j)
-                   for j in range(2, p)}
-        f_funcs = {j: _compute_F(H, pair_classes, f_tables, p + 1, j)
+        f_funcs = {j: _compute_F(pair_classes, f_tables, p + 1, j)
                    for j in range(2, p)}
         for j, func in f_funcs.items():
             for idx in itertools.combinations_with_replacement(h1, p + 1):
-                for g in g_classes:
-                    total = 0
-                    for slot in range(p + 1):
-                        total += func.evaluate(acted(idx, slot, g))
+                for g, row in zip(g_classes, rows):
+                    total = _acted_sum(func, idx, row)
                     assert total == 0, (
                         f"coefficient pairing (split {j}, {p + 1 - j}) is "
                         f"not invariant at {tuple(H.labels[i] for i in idx)} "
@@ -664,7 +656,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
             totals = [0] * len(h1)
             repeats = repeat_pattern(idx)
             for j in range(2, p):
-                i_func, f_func = i_funcs[j], f_funcs[j]
+                i_func, f_func = i_funcs[p + 1, j], f_funcs[j]
                 for first, second, c in shuffle_splits(j, p - j, (1,) * p,
                                                        repeats):
                     head = tuple([idx[x] for x in first + second])
@@ -692,11 +684,9 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         f_p = f_tables[p]
         for idx in itertools.combinations_with_replacement(h1, p):
             fv = f_p.evaluate_indices(idx)
-            for g in g_classes:
+            for g, row in zip(g_classes, rows):
                 lhs = bracket2.evaluate([fv, g])
-                rhs = H.zero()
-                for slot in range(p):
-                    rhs = rhs + f_p.evaluate(acted(idx, slot, g))
+                rhs = _acted_value(f_p, idx, row)
                 assert lhs == rhs, (
                     f"witness coefficient f_{p} fails equivariance at "
                     f"{tuple(H.labels[i] for i in idx)} under {g}: "
@@ -732,6 +722,28 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         if not f_tables[p].is_zero():
             taylor[p] = f_tables[p]
     return taylor
+
+
+def _acted_terms(idx, row):
+    """The terms (tuple, c) of the degree-0 action on a degree-1 tuple:
+    each slot in turn replaced by the entries of its action row."""
+    for slot, i in enumerate(idx):
+        for t, c in row[i]:
+            yield idx[:slot] + (t,) + idx[slot + 1:], c
+
+
+def _acted_sum(func: PairingFunctional, idx, row):
+    """Sum over slots of ``func`` with that slot acted on."""
+    return as_scalar(sum(c * func.value_indices(key)
+                         for key, c in _acted_terms(idx, row)))
+
+
+def _acted_value(op: MultilinearMap, idx, row) -> Vector:
+    """Sum over slots of ``op`` with that slot acted on."""
+    acc = {}
+    for key, c in _acted_terms(idx, row):
+        accumulate(acc, op.evaluate_indices(key), c)
+    return Vector._owning(op.codomain, acc)
 
 
 def verify_witness(witness: FormalityWitness, T: TransferResult,

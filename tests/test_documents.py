@@ -11,6 +11,8 @@ from gradedlie.corpus import standard_corpus
 from gradedlie.dgla import validate_dgla
 from gradedlie.cyclic import validate_pairing
 
+from oracles import assert_exact_scalar
+
 
 BUNDLED_NAMES = (
     "diagonal-symplectic", "nocontraction", "noformal-degree3",
@@ -205,6 +207,45 @@ bracket
     assert ("x1", "x1") not in doc.brackets
     assert doc.brackets[("x1", "x2")] == {
         "u": Fraction(3, 2), "v": Fraction(-1), "w": Fraction(3, 2)}
+
+
+def test_parsed_coefficients_are_int_or_non_integral_fraction():
+    text = """name exact
+field Q
+
+basis
+  a  0
+  x1 1
+  x2 1
+  u  2
+  v  2
+
+differential
+  a -> 4/2*x1 + 1/2*x2 + 1/2*x2
+
+bracket
+  [x1, x2] = 3/2*u - v + 2*u - 7/2*u
+  [a, x1]  = 1/3*x2
+
+pairing degree 2
+  (x1, x2) = -3/2
+  (a, u)   = 6/3
+  (a, v)   = 1.5
+"""
+    doc = parse_document(text)
+    assert doc.differential == {"a": {"x1": 2, "x2": 1}}
+    assert doc.brackets[("x1", "x2")] == {"v": -1}
+    assert dict(doc.pairing) == {("x1", "x2"): Fraction(-3, 2),
+                                 ("a", "u"): 2, ("a", "v"): Fraction(3, 2)}
+    docs = [doc] + [parse_document(text) for _, text in bundled_documents()]
+    for parsed in docs:
+        tables = (list(parsed.differential.values())
+                  + list(parsed.brackets.values()))
+        for table in tables:
+            for c in table.values():
+                assert_exact_scalar(c)
+        for _, c in parsed.pairing:
+            assert_exact_scalar(c)
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -424,3 +424,110 @@ def test_scan_rejects_a_non_cocycle_representative_before_any_certificate():
     assert massey_triple(A, s, "x", "x", "x").nonzero_mod_indeterminacy()
     with pytest.raises(ValueError, match="not a cocycle: c"):
         detect_nonformality(A, s)
+
+
+# --- planted defects in the degree-0 action checks ------------------------------
+#
+# On diagonal_symplectic, g acts by -1 on v1 and +1 on v2 ([v1, g] = -v1,
+# [v2, g] = v2), and no degree-0 check can fail on the true data.  Each
+# test plants one non-equivariant value and pins the full message of the
+# check that must catch it: a slot left out of the action sum, or an
+# action row with the wrong sign, moves the failure or changes its sums.
+
+def _symplectic_plane():
+    Q = from_symplectic_representation(diagonal_symplectic())
+    return Q, compute_splitting(Q.algebra)
+
+
+def _witness_failure(Q, s, N):
+    with pytest.raises(AssertionError) as info:
+        build_formality_witness(Q, s, N)
+    message = str(info.value)
+    suffix = (" -- hypotheses re-verified clean: this is an implementation "
+              "bug, not an input problem")
+    assert message.endswith(suffix)
+    return message[:-len(suffix)]
+
+
+def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
+    Q, s = _symplectic_plane()
+    original = formality.homotopy_transfer
+
+    def planted(A, splitting, N):
+        T = original(A, splitting, N)
+        H = T.minimal.space
+        v1, v2 = H.index("v1"), H.index("v2")
+        T.inclusion.taylor[3] = MultilinearMap.from_entries(
+            H, A.space, 3, -2, {(v1, v1, v2): A.basis_vector("v2")})
+        return T
+    monkeypatch.setattr(formality, "homotopy_transfer", planted)
+    assert _witness_failure(Q, s, 3) == (
+        "arity-3 inclusion fails equivariance at ('v1', 'v1', 'v2') "
+        "under g: v2 vs -v2")
+
+
+def test_planted_inclusion_pairing_entry_fails_invariance(monkeypatch):
+    Q, s = _symplectic_plane()
+    original = formality.compute_I
+
+    def planted(T, pairing, p, j):
+        func = original(T, pairing, p, j)
+        if (p, j) == (4, 2):
+            v1, v2 = T.minimal.space.index("v1"), T.minimal.space.index("v2")
+            key = (v1, v1, v1, v2)
+            func.table[key] = func.table.get(key, 0) + 1
+        return func
+    monkeypatch.setattr(formality, "compute_I", planted)
+    assert _witness_failure(Q, s, 3) == (
+        "inclusion pairing (split 2, 2) is not invariant at "
+        "('v1', 'v1', 'v1', 'v2') under g: sum -2")
+
+
+def test_planted_coefficient_pairing_entry_fails_invariance(monkeypatch):
+    Q, s = _symplectic_plane()
+    original = formality._compute_F
+
+    v1, v2 = s.h_space.index("v1"), s.h_space.index("v2")
+
+    def planted(*args):
+        func = original(*args)
+        if args[-2:] == (4, 2):
+            func.table[(v1, v2, v2, v2)] = 1
+        return func
+    monkeypatch.setattr(formality, "_compute_F", planted)
+    assert _witness_failure(Q, s, 3) == (
+        "coefficient pairing (split 2, 2) is not invariant at "
+        "('v1', 'v2', 'v2', 'v2') under g: sum 2")
+
+
+def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
+    Q, s = _symplectic_plane()
+    original = formality.solve_dense
+    solves = []
+
+    def planted(rows, rhs):
+        solution, kernel = original(rows, rhs)
+        solves.append(rhs)
+        if len(solves) == 2:
+            # the second solve is at (v1, v1, v2); columns are (v1, v2)
+            solution = [solution[0], solution[1] + 1]
+        return solution, kernel
+    monkeypatch.setattr(formality, "solve_dense", planted)
+    assert _witness_failure(Q, s, 3) == (
+        "witness coefficient f_3 fails equivariance at ('v1', 'v1', 'v2') "
+        "under g: v2 vs -v2")
+
+
+def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
+    Q, s = _symplectic_plane()
+    calls = []
+    original = formality.compute_I
+
+    def counted(T, pairing, p, j):
+        calls.append((p, j))
+        return original(T, pairing, p, j)
+    monkeypatch.setattr(formality, "compute_I", counted)
+    N = 6
+    build_formality_witness(Q, s, N)
+    assert sorted(calls) == [(q, j) for q in range(2, N + 2)
+                             for j in range(1, q) if max(j, q - j) <= N]
