@@ -74,6 +74,14 @@ def _note(text) -> dict:
     return {"kind": "note", "text": text}
 
 
+def _certificate_finding(certificate) -> dict:
+    return {"kind": "certificate", "certificate": certificate.kind,
+            "triple": list(certificate.triple),
+            "class": repr(certificate.class_vector),
+            "indeterminacy": [repr(v) for v in certificate.indeterminacy],
+            "text": certificate.describe()}
+
+
 # ---------------------------------------------------------------------------
 # Command implementations (document-level, reused by the corpus gate)
 # ---------------------------------------------------------------------------
@@ -205,12 +213,7 @@ def _formality_doc(doc, arity=None):
     findings.extend(rejection)
     certificate = detect_nonformality(A, s0)
     if certificate is not None:
-        findings.append({
-            "kind": "certificate", "certificate": certificate.kind,
-            "triple": list(certificate.triple),
-            "class": repr(certificate.class_vector),
-            "indeterminacy": [repr(v) for v in certificate.indeterminacy],
-            "text": certificate.describe()})
+        findings.append(_certificate_finding(certificate))
         return "NON-FORMAL", findings
     findings.append(_note(
         "no triple-product certificate found on the representatives"))
@@ -302,13 +305,7 @@ def cmd_massey(args) -> Report:
         findings = [_note("no certificate among the representatives; "
                           "vanishing triple products prove nothing")]
         return Report("massey", "INCONCLUSIVE", findings)
-    findings = [{
-        "kind": "certificate", "certificate": certificate.kind,
-        "triple": list(certificate.triple),
-        "class": repr(certificate.class_vector),
-        "indeterminacy": [repr(v) for v in certificate.indeterminacy],
-        "text": certificate.describe()}]
-    return Report("massey", "NON-FORMAL", findings)
+    return Report("massey", "NON-FORMAL", [_certificate_finding(certificate)])
 
 
 def cmd_formality(args) -> Report:

@@ -27,7 +27,7 @@ __all__ = [
     "koszul_sign", "enumerate_shuffles", "signed_shuffles",
     "repeat_pattern", "shuffle_splits", "half_sum_splits",
     "sort_basis_tuple", "accumulate", "accumulate_composites",
-    "jacobi_defects",
+    "accumulate_bracket_halves", "jacobi_defects",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "extend_to_complement",
 ]
@@ -326,6 +326,33 @@ def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
                 continue
             args = [head] + [space.basis_vector(idx[s]) for s in rest]
             accumulate(total, outer.evaluate(args), c * sign)
+
+
+def accumulate_bracket_halves(total: dict, space, idx, maps,
+                              bracket) -> None:
+    """Add half the symmetric two-block bracket sum at a sorted tuple.
+
+    Over k = 1..n-1 (n = len(idx)), the twisted (k, n-k)-shuffle sum of
+    bracket(F_k(first block), F_(n-k)(second block)), with ``maps``
+    mapping arity to F_k (a missing arity is zero); each split and its
+    block swap are evaluated once, through :func:`half_sum_splits`.
+    ``total`` is a caller-owned coefficient dict, as for :func:`accumulate`.
+    """
+    n = len(idx)
+    parities = tuple([space.degrees[i] % 2 for i in idx])
+    for k, terms in half_sum_splits(n, parities, repeat_pattern(idx)):
+        f_k = maps.get(k)
+        f_rest = maps.get(n - k)
+        if f_k is None or f_rest is None:
+            continue
+        for first, second, c in terms:
+            left = f_k.evaluate_indices(tuple([idx[s] for s in first]))
+            if left.is_zero():
+                continue
+            right = f_rest.evaluate_indices(tuple([idx[s] for s in second]))
+            if right.is_zero():
+                continue
+            accumulate(total, bracket.evaluate([left, right]), c)
 
 
 def jacobi_defects(space, ops, n):

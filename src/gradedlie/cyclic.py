@@ -19,8 +19,8 @@ from .core import (
     as_scalar, coordinates_in_span, jacobi_defects, kernel_vectors, rref,
 )
 from .dgla import (
-    DgLieAlgebra, Splitting, Violation, compute_splitting, restrict_to_span,
-    verify_splitting,
+    DgLieAlgebra, Splitting, Violation, compute_splitting,
+    invariance_violations, restrict_to_span, verify_splitting,
 )
 
 __all__ = [
@@ -164,9 +164,13 @@ class PairingReport:
 
 
 def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> PairingReport:
-    """Check symmetry, closedness, and cyclicity; classify non-degeneracy.
+    """Check closedness and cyclicity; classify non-degeneracy.
 
-    All identities are evaluated exactly on basis tuples; failures are
+    Graded symmetry and the total degree are enforced by
+    :class:`CyclicPairing` itself, which folds each entry onto its
+    canonical pair with the symmetry sign and refuses wrong-degree and
+    odd-diagonal entries, so no form can fail them here.  The other
+    identities are evaluated exactly on basis tuples; failures are
     collected as violations, never raised.  The induced form on
     cohomology uses the given splitting's representatives (a canonical
     splitting is computed when none is supplied).
@@ -174,19 +178,6 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     A, form = Q.algebra, Q.pairing
     space = A.space
     out = []
-    for (i, j), value in form.entries():
-        if space.degrees[i] + space.degrees[j] != form.degree:
-            out.append(Violation("pairing_degree",
-                                 (space.labels[i], space.labels[j]),
-                                 f"entry of wrong total degree holds {value}"))
-    for i in range(space.dim):
-        for j in range(space.dim):
-            sign = -1 if (space.degrees[i] % 2 and space.degrees[j] % 2) else 1
-            defect = form.value_indices(i, j) - sign * form.value_indices(j, i)
-            if defect:
-                out.append(Violation("pairing_symmetric",
-                                     (space.labels[i], space.labels[j]),
-                                     f"defect {defect}"))
     d_images = [A.d.apply(space.basis_vector(j)) for j in range(space.dim)]
     for i in range(space.dim):
         ei = space.basis_vector(i)
@@ -467,25 +458,6 @@ class NormalizedSplitting:
     notes: list = field(default_factory=list)
 
 
-def _invariance_violations(A, h0_vectors, h_vectors, k_vectors, positive_only):
-    out = []
-    for g in h0_vectors:
-        for name, vecs in (("H", h_vectors), ("K", k_vectors)):
-            for v in vecs:
-                deg = v.degree()
-                if positive_only and deg <= 0:
-                    continue
-                w = A.bracket_of(g, v)
-                if w.is_zero():
-                    continue
-                same = [u for u in vecs if u.degree() == w.degree()]
-                if coordinates_in_span(same, w) is None:
-                    out.append(Violation(
-                        f"invariance_{name}", (repr(g), repr(v)),
-                        f"[{g}, {v}] = {w} escapes {name}^{deg}"))
-    return out
-
-
 def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> NormalizedSplitting:
     """Replace K by the complement orthogonal to the representatives.
 
@@ -515,8 +487,8 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
             if not w.is_zero() and coordinates_in_span(h0, w) is None:
                 pre.append(Violation("H0_closed", (repr(g), repr(g2)),
                                      f"[{g}, {g2}] = {w} escapes H^0"))
-    pre.extend(_invariance_violations(A, h0, s.h_vectors, s.k_vectors,
-                                      positive_only=True))
+    pre.extend(invariance_violations(A, h0, s.h_vectors, s.k_vectors,
+                                     positive_only=True))
     if pre:
         raise NormalizationError(
             "splitting does not satisfy the normalization preconditions", pre)
@@ -621,6 +593,6 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
             "orthogonalized splitting failed its own consistency checks "
             "(is the pairing actually closed and cyclic?)", post)
 
-    all_deg = not _invariance_violations(A, h0, result.h_vectors,
-                                         result.k_vectors, positive_only=False)
+    all_deg = not any(invariance_violations(A, h0, result.h_vectors,
+                                            result.k_vectors))
     return NormalizedSplitting(Q, result, restricted, all_deg, notes)

@@ -24,6 +24,7 @@ __all__ = [
     "Violation", "DgLieAlgebra", "validate_dgla",
     "Splitting", "compute_splitting", "verify_splitting",
     "EquivariantObstruction", "find_equivariant_splitting",
+    "invariance_violations",
     "CohomologyPresentation", "cohomology",
     "restrict_to_span",
 ]
@@ -408,16 +409,36 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
             k_vectors.extend(l_vecs)
 
     splitting = Splitting(A, h_vectors, k_vectors)
-    for g in h0_vectors:
-        for name, vecs in (("representatives", splitting.h_vectors),
-                           ("complement", splitting.k_vectors)):
-            for v in vecs:
-                w = A.bracket_of(g, v)
-                if not w.is_zero() and coordinates_in_span(
-                        [u for u in vecs if u.degree() == w.degree()], w) is None:
-                    raise AssertionError(
-                        f"internal error: solved {name} not invariant at {v}")
+    escape = next(invariance_violations(A, h0_vectors, splitting.h_vectors,
+                                        splitting.k_vectors), None)
+    if escape is not None:
+        name = ("representatives" if escape.identity == "invariance_H"
+                else "complement")
+        raise AssertionError(
+            f"internal error: solved {name} not invariant at "
+            f"{escape.where[1]}")
     return splitting
+
+
+def invariance_violations(A, h0_vectors, h_vectors, k_vectors,
+                          positive_only=False):
+    """Yield, per g in ``h0_vectors``, first in H then in K, each v whose
+    [g, v] escapes the same-degree span of its piece; ``positive_only``
+    skips v of degree <= 0.  A yes-or-no caller stops at the first."""
+    for g in h0_vectors:
+        for name, vecs in (("H", h_vectors), ("K", k_vectors)):
+            for v in vecs:
+                deg = v.degree()
+                if positive_only and deg <= 0:
+                    continue
+                w = A.bracket_of(g, v)
+                if w.is_zero():
+                    continue
+                same = [u for u in vecs if u.degree() == w.degree()]
+                if coordinates_in_span(same, w) is None:
+                    yield Violation(
+                        f"invariance_{name}", (repr(g), repr(v)),
+                        f"[{g}, {v}] = {w} escapes {name}^{deg}")
 
 
 def _splitting_is_invariant(A, s: Splitting, h0_vectors) -> bool:
@@ -428,16 +449,8 @@ def _splitting_is_invariant(A, s: Splitting, h0_vectors) -> bool:
     stack = [v.dense() for v in h0_vectors] + [v.dense() for v in h0_deg]
     if len(rref(stack)[1]) != len(h0_vectors):
         return False
-    for g in h0_vectors:
-        for vecs in (s.h_vectors, s.k_vectors):
-            for v in vecs:
-                w = A.bracket_of(g, v)
-                if w.is_zero():
-                    continue
-                same_degree = [u for u in vecs if u.degree() == w.degree()]
-                if coordinates_in_span(same_degree, w) is None:
-                    return False
-    return True
+    return not any(invariance_violations(A, h0_vectors, s.h_vectors,
+                                         s.k_vectors))
 
 
 def _build_obstruction(A, h0_vectors, deg, z_vecs, b_vecs):

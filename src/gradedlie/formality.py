@@ -24,15 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
-    LinearMap, MultilinearMap, Vector, accumulate, as_scalar, canonical_tuples,
-    coordinates_in_span, echelon_vectors, half_sum_splits, kernel_vectors,
-    repeat_pattern, shuffle_splits, solve_dense,
+    LinearMap, MultilinearMap, Vector, accumulate, accumulate_bracket_halves,
+    as_scalar, canonical_tuples, coordinates_in_span, echelon_vectors,
+    kernel_vectors, repeat_pattern, shuffle_splits, solve_dense,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
-    find_equivariant_splitting,
+    find_equivariant_splitting, invariance_violations,
 )
-from .cyclic import QuasiCyclicDgla, validate_pairing, _invariance_violations
+from .cyclic import QuasiCyclicDgla, validate_pairing
 from .linfty import (
     LInftyMorphismToDgla, TransferResult, check_morphism, homotopy_transfer,
 )
@@ -328,16 +328,6 @@ def _nonzero_values(op: MultilinearMap) -> list:
     return out
 
 
-def _f_value(H, f_tables, k: int, idx) -> Vector:
-    """Witness coefficient at basis indices; identity at arity 1."""
-    if k == 1:
-        return H.basis_vector(idx[0])
-    table = f_tables.get(k)
-    if table is None:
-        return H.zero()
-    return table.evaluate_indices(idx)
-
-
 # ---------------------------------------------------------------------------
 # Formality witnesses
 # ---------------------------------------------------------------------------
@@ -387,8 +377,8 @@ def _hypothesis_violations(Q: QuasiCyclicDgla, s: Splitting, h0):
             if not w.is_zero() and coordinates_in_span(h0, w) is None:
                 out.append(Violation("H0_closed", (repr(g), repr(g2)),
                                      f"[{g}, {g2}] = {w} escapes the span"))
-    out.extend(_invariance_violations(A, h0, s.h_vectors, s.k_vectors,
-                                      positive_only=True))
+    out.extend(invariance_violations(A, h0, s.h_vectors, s.k_vectors,
+                                     positive_only=True))
     for h in s.h_vectors:
         for k in s.k_vectors:
             val = Q.pairing.evaluate(h, k)
@@ -544,12 +534,14 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     # of the recursion vanish, and the middle-splits-only evaluation of
     # each bracket agrees with the full one
     checked = 0
-    for idx in itertools.combinations_with_replacement(h1, 3):
-        value = T.minimal.operation(3).evaluate_indices(idx)
-        assert value.is_zero(), (
-            f"ternary bracket must vanish on degree-1 classes; at "
-            f"{tuple(H.labels[i] for i in idx)} found {value}")
-        checked += 1
+    if N >= 3:
+        ternary = T.minimal.operation(3)
+        for idx in itertools.combinations_with_replacement(h1, 3):
+            value = ternary.evaluate_indices(idx)
+            assert value.is_zero(), (
+                f"ternary bracket must vanish on degree-1 classes; at "
+                f"{tuple(H.labels[i] for i in idx)} found {value}")
+            checked += 1
     for p in range(3, N + 1):
         tail_map = T.inclusion.component(p - 1)
         for left in itertools.combinations_with_replacement(h1, p - 1):
@@ -563,25 +555,12 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                     f"at {tuple(H.labels[i] for i in left)} | {H.labels[t]} "
                     f"found {boundary}")
                 checked += 1
+        # half the sum over the middle splits 2 <= k <= p - 2
+        middle = {k: op for k, op in T.inclusion.taylor.items()
+                  if 2 <= k <= p - 2}
         for idx in itertools.combinations_with_replacement(h1, p):
-            # half the sum over the middle splits 2 <= k <= p - 2; all
-            # entries have odd degree, so every shuffle sign is +1
             reduced = {}
-            for k, terms in half_sum_splits(p, (1,) * p, repeat_pattern(idx)):
-                if k == 1:
-                    continue
-                left_map = T.inclusion.component(k)
-                right_map = T.inclusion.component(p - k)
-                for first, second, c in terms:
-                    lv = left_map.evaluate_indices(
-                        tuple([idx[x] for x in first]))
-                    if lv.is_zero():
-                        continue
-                    rv = right_map.evaluate_indices(
-                        tuple([idx[x] for x in second]))
-                    if rv.is_zero():
-                        continue
-                    accumulate(reduced, A.bracket.evaluate([lv, rv]), c)
+            accumulate_bracket_halves(reduced, H, idx, middle, A.bracket)
             reduced_class = s.pi.apply(Vector(A.space, reduced))
             full = T.minimal.operation(p).evaluate_indices(idx)
             assert reduced_class == full, (
@@ -699,17 +678,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         for idx in itertools.combinations_with_replacement(h1, q):
             lhs = T.minimal.operation(q).evaluate_indices(idx)
             rhs = {}
-            for j, terms in half_sum_splits(q, (1,) * q, repeat_pattern(idx)):
-                for first, second, c in terms:
-                    lv = _f_value(H, f_tables, j,
-                                  tuple([idx[x] for x in first]))
-                    if lv.is_zero():
-                        continue
-                    rv = _f_value(H, f_tables, q - j,
-                                  tuple([idx[x] for x in second]))
-                    if rv.is_zero():
-                        continue
-                    accumulate(rhs, bracket2.evaluate([lv, rv]), c)
+            accumulate_bracket_halves(rhs, H, idx, f_tables, bracket2)
             rhs = Vector(H, rhs)
             assert lhs == rhs, (
                 f"witness bracket relation fails at arity {q} on "

@@ -20,11 +20,12 @@ identities and the right side of the morphism relation) are one
 primitive, :func:`core.accumulate_composites`, which also serves the
 DG-Lie checks in :mod:`dgla`; it lives in ``core`` because this module
 imports ``dgla``.  The half-sums of brackets of two blocks (the
-transfer recursion and the left side of the morphism relation) go through
-:func:`core.half_sum_splits`, which also evaluates each split and its
-block swap once: graded antisymmetry of the stored bracket makes the
-two terms equal, so only the split into two equal halves keeps the
-weight 1/2.  Sums accumulate in place; the formulas are unchanged.
+transfer recursion, the left side of the morphism relation and the
+witness lemmas in :mod:`formality`) are its sibling,
+:func:`core.accumulate_bracket_halves`: graded antisymmetry of the
+stored bracket makes a split and its block swap equal, so each pair is
+evaluated once and only a split into two equal halves keeps the weight
+1/2.  Sums accumulate in place; the formulas are unchanged.
 Every stored map is homogeneous, so a level, relation or identity of
 arity n has one degree at a tuple (its input sum plus 2 - n, or 3 - n
 for the generalized Jacobi defect), and the loops visit only the tuples
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 from .core import (
     GradedVectorSpace, MultilinearMap, Vector, accumulate,
-    accumulate_composites, canonical_tuples, half_sum_splits, jacobi_defects,
-    repeat_pattern,
+    accumulate_bracket_halves, accumulate_composites, canonical_tuples,
+    jacobi_defects,
 )
 from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitting
 
@@ -49,10 +50,6 @@ __all__ = [
     "TransferResult", "homotopy_transfer", "transferred_bracket_on_classes",
     "alternate_sign_convention",
 ]
-
-def _parities(space, idx) -> tuple:
-    return tuple(space.degrees[i] % 2 for i in idx)
-
 
 # ---------------------------------------------------------------------------
 # L-infinity algebras
@@ -193,12 +190,11 @@ class LInftyMorphismToDgla:
 def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     """Morphism relations for every arity n <= up_to.
 
-    The arity-n relation equates half the shuffle sum of target brackets
-    [g_p(...), g_(n-p)(...)], each weighted by the Koszul sign and by
-    (-1)^((1-n+p)(sum of the first p input degrees - p)), plus d g_n,
-    against the shuffle sum of g_(n-k+1) applied after the source arity-k
-    bracket, weighted by the Koszul sign times (-1)^(n-k): the nested sum
-    of :func:`core.accumulate_composites`, subtracted.
+    The arity-n relation equates half the twisted shuffle sum of target
+    brackets [g_p(...), g_(n-p)(...)] (:func:`core.accumulate_bracket_halves`)
+    plus d g_n against the nested shuffle sum of g_(n-k+1) applied after
+    the source arity-k bracket (:func:`core.accumulate_composites`),
+    subtracted.
     """
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
@@ -212,20 +208,7 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     for n in range(1, up_to + 1):
         for idx in canonical_tuples(src, n, 2 - n, tgt.space.degrees):
             total = {}
-            for p, terms in half_sum_splits(n, _parities(src, idx),
-                                            repeat_pattern(idx)):
-                g_left = m.taylor.get(p)
-                g_right = m.taylor.get(n - p)
-                if g_left is None or g_right is None:
-                    continue
-                for first, second, c in terms:
-                    left = g_left.evaluate_indices(tuple([idx[s] for s in first]))
-                    if left.is_zero():
-                        continue
-                    right = g_right.evaluate_indices(tuple([idx[s] for s in second]))
-                    if right.is_zero():
-                        continue
-                    accumulate(total, tgt.bracket.evaluate([left, right]), c)
+            accumulate_bracket_halves(total, src, idx, m.taylor, tgt.bracket)
             g_n = m.taylor.get(n)
             if g_n is not None:
                 accumulate(total, tgt.d.apply(g_n.evaluate_indices(idx)))
@@ -280,22 +263,7 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
         bracket_p = MultilinearMap(H, H, p, 2 - p)
         for idx in canonical_tuples(H, p, 2 - p, A.space.degrees):
             total = {}
-            for k, terms in half_sum_splits(p, _parities(H, idx),
-                                            repeat_pattern(idx)):
-                left_table = iota_tables[k]
-                right_table = iota_tables[p - k]
-                if left_table.is_zero() or right_table.is_zero():
-                    continue
-                for first, second, c in terms:
-                    left = left_table.evaluate_indices(
-                        tuple([idx[s] for s in first]))
-                    if left.is_zero():
-                        continue
-                    right = right_table.evaluate_indices(
-                        tuple([idx[s] for s in second]))
-                    if right.is_zero():
-                        continue
-                    accumulate(total, A.bracket.evaluate([left, right]), c)
+            accumulate_bracket_halves(total, H, idx, iota_tables, A.bracket)
             value = Vector(A.space, total)
             if value.is_zero():
                 continue
@@ -305,7 +273,9 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
             projected = s.pi.apply(value)
             if not projected.is_zero():
                 bracket_p.set_entry(idx, projected)
-        iota_tables[p] = iota_p
+        if not iota_p.is_zero():
+            # a missing arity is zero to the level sums
+            iota_tables[p] = iota_p
         bracket_tables[p] = bracket_p
     return iota_tables, bracket_tables
 
@@ -331,12 +301,10 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
 
     iota_tables, bracket_tables = _level_tables(A, s, N)
     H = s.h_space
-    minimal = LInftyAlgebra(
-        H, {p: op for p, op in bracket_tables.items() if not op.is_zero()}, N)
+    # both constructors keep only the nonzero tables
+    minimal = LInftyAlgebra(H, bracket_tables, N)
     assert minimal.is_minimal, "internal error: arity-1 bracket crept in"
-    inclusion = LInftyMorphismToDgla(
-        minimal, A,
-        {p: op for p, op in iota_tables.items() if not op.is_zero()}, N)
+    inclusion = LInftyMorphismToDgla(minimal, A, iota_tables, N)
 
     induced = cohomology(A, s).bracket
     transferred = minimal.operation(2)

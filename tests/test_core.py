@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gradedlie.core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
-    accumulate, canonical_tuples, coordinates_in_span, echelon_vectors,
+    accumulate, accumulate_bracket_halves, canonical_tuples, coordinates_in_span, echelon_vectors,
     enumerate_shuffles, half_sum_splits, kernel_vectors, koszul_sign,
     repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
     sort_basis_tuple,
@@ -183,30 +183,36 @@ def _random_bracket_data(rng):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_half_sum_splits_match_the_full_symmetric_sum(seed):
+    """The paired half-sum equals half the full symmetric sum, with every
+    arity stored and with one arity (a different one per seed) absent,
+    which must count as the zero map."""
     H, bracket, F = _random_bracket_data(random.Random(seed))
-    nonzero = 0
-    for n in range(2, 7):
-        for idx in canonical_tuples(H, n):
-            parities = tuple(H.degrees[i] % 2 for i in idx)
-            full = {}
-            for k in range(1, n):
-                for sigma, sign in signed_shuffles(k, n - k, parities):
-                    sign = _twist(sign, k, n, parities, sigma[:k])
-                    left = F[k].evaluate_indices([idx[s] for s in sigma[:k]])
-                    right = F[n - k].evaluate_indices([idx[s] for s in sigma[k:]])
-                    accumulate(full, bracket.evaluate([left, right]),
-                               Fraction(sign, 2))
-            paired = {}
-            for k, terms in half_sum_splits(n, parities, repeat_pattern(idx)):
-                assert 2 * k <= n
-                for first, second, c in terms:
-                    assert c
-                    left = F[k].evaluate_indices([idx[s] for s in first])
-                    right = F[n - k].evaluate_indices([idx[s] for s in second])
-                    accumulate(paired, bracket.evaluate([left, right]), c)
-            assert paired == full, (n, idx)
-            nonzero += bool(full)
-    assert nonzero
+    absent = seed % len(F) + 1
+    for maps in (F, {k: f for k, f in F.items() if k != absent}):
+        nonzero = 0
+        for n in range(2, 7):
+            for idx in canonical_tuples(H, n):
+                parities = tuple(H.degrees[i] % 2 for i in idx)
+                full = {}
+                for k in range(1, n):
+                    if k not in maps or n - k not in maps:
+                        continue
+                    for sigma, sign in signed_shuffles(k, n - k, parities):
+                        sign = _twist(sign, k, n, parities, sigma[:k])
+                        left = maps[k].evaluate_indices(
+                            [idx[s] for s in sigma[:k]])
+                        right = maps[n - k].evaluate_indices(
+                            [idx[s] for s in sigma[k:]])
+                        accumulate(full, bracket.evaluate([left, right]),
+                                   Fraction(sign, 2))
+                for k, terms in half_sum_splits(n, parities,
+                                                repeat_pattern(idx)):
+                    assert 2 * k <= n and all(c for _, _, c in terms)
+                paired = {}
+                accumulate_bracket_halves(paired, H, idx, maps, bracket)
+                assert paired == full, (n, idx, sorted(maps))
+                nonzero += bool(full)
+        assert nonzero
 
 
 def test_half_sum_splits_weigh_equal_halves_by_one_half():

@@ -12,6 +12,10 @@ from gradedlie.corpus import (
     tensor_cell, weighted_pair,
 )
 
+from gradedlie.documents import (
+    bundled_documents, document_to_quasi_cyclic, parse_document,
+)
+
 from oracles import permute_basis
 
 
@@ -120,3 +124,34 @@ def test_perturbations_keep_every_entry_homogeneous():
         for i, column in A.d.columns.items():
             assert {degrees[j] for j in column.coeffs} == {degrees[i] + 1}, \
                 (name, desc, i)
+
+
+def _assert_pairing_is_legal(form, where):
+    degrees = form.space.degrees
+    for (i, j), value in form.table.items():
+        assert i <= j and value, (where, i, j)
+        assert degrees[i] + degrees[j] == form.degree, (where, i, j)
+        assert i != j or degrees[i] % 2 == 0, (where, i)
+    for i in range(form.space.dim):
+        for j in range(form.space.dim):
+            sign = -1 if degrees[i] % 2 and degrees[j] % 2 else 1
+            assert form.value_indices(i, j) == sign * form.value_indices(j, i), \
+                (where, i, j)
+
+
+def test_pairing_tables_are_degree_legal_and_graded_symmetric():
+    """``validate_pairing`` checks neither the degree nor the graded
+    symmetry of a form: ``CyclicPairing`` refuses wrong-degree and
+    odd-diagonal entries and folds (j, i) onto (i, j) with the sign.  A
+    perturbed pairing is written into its table directly, and a parsed
+    one goes through ``set_entry``; both must hold what the checks'
+    absence relies on."""
+    corpus = standard_corpus()
+    rng = random.Random(11)
+    for draw in range(200):
+        name, Q = corpus[draw % len(corpus)]
+        desc, edited = perturb_quasi_cyclic(Q, rng)
+        _assert_pairing_is_legal(edited.pairing, (name, desc))
+    for name, text in bundled_documents():
+        Q = document_to_quasi_cyclic(parse_document(text))
+        _assert_pairing_is_legal(Q.pairing, name)

@@ -31,6 +31,7 @@ _COMMANDS = (
     ("transfer", "--arity", "5"),
     ("massey",),
     ("formality",),
+    ("formality", "--arity", "2"),
     ("formality", "--arity", "6"),
 )
 
