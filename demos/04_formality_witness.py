@@ -13,8 +13,8 @@ a formal instance and shows how a non-formal one is turned away.
 """
 
 from gradedlie import (
-    build_formality_witness, compute_splitting, detect_nonformality,
-    homotopy_transfer, normalize_splitting, verify_witness, WitnessRejected,
+    build_formality_witness, compute_splitting, formality_verdict,
+    normalize_splitting, verify_witness,
 )
 from gradedlie.corpus import standard_corpus
 
@@ -50,24 +50,27 @@ for line in witness.report:
     print("  -", line)
 
 # Step 3: independent verification.  The checker re-expands the
-# generic L-infinity morphism identities on every basis tuple; it never
-# sees the pairing or the recursion that produced the coefficients.
-T = homotopy_transfer(Qn.algebra, sn, 6)
+# generic L-infinity morphism identities on every basis tuple of the
+# minimal model the witness was built on; it never sees the pairing or
+# the recursion that produced the coefficients.
+T = witness.transfer
 violations = verify_witness(witness, T, T.minimal.operation(2))
 print("\nindependent checker violations:", violations)
 
 # ---------------------------------------------------------------------------
-# A non-formal instance is rejected before any witness is attempted:
-# no splitting invariant under the degree-0 action exists, and the
-# refusal carries the obstruction.
+# formality_verdict runs the whole pipeline: pairing check, scope,
+# normalization (with the search for an invariant splitting), witness,
+# independent check.  A non-formal instance is rejected before any
+# witness is attempted: no splitting invariant under the degree-0 action
+# exists, and the rejection carries the obstruction.  The certificate
+# scan then shows that the rejection is no false negative -- the
+# instance carries an essential triple product.
 # ---------------------------------------------------------------------------
-N = corpus["nocontraction"]
-try:
-    build_formality_witness(N, compute_splitting(N.algebra), 4)
-except WitnessRejected as rejection:
-    print("\nrejected:", rejection)
-    print("obstruction:", rejection.obstruction.describe())
-
-# And indeed the rejection is not a false negative -- the instance
-# carries an essential triple product:
-print("\n" + detect_nonformality(N.algebra, compute_splitting(N.algebra)).describe())
+nonformal = corpus["nocontraction"]
+s = compute_splitting(nonformal.algebra)
+h0 = [v for v in s.h_vectors if v.degree() == 0]
+verdict = formality_verdict(nonformal, s, h0, 4)
+print("\nverdict:", verdict.status)
+print("rejected:", verdict.rejection.message)
+print("obstruction:", verdict.rejection.obstruction.describe())
+print(verdict.certificate.describe())

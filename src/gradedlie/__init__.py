@@ -33,9 +33,10 @@ from .linfty import (
     homotopy_transfer, transferred_bracket_on_classes,
 )
 from .formality import (
-    FormalityWitness, MasseyTripleProduct, NonFormalityCertificate,
-    PairingFunctional, WitnessRejected, build_formality_witness, compute_I,
-    detect_nonformality, massey_triple, ternary_bracket_certificate,
+    FormalityVerdict, FormalityWitness, MasseyTripleProduct,
+    NonFormalityCertificate, PairingFunctional, WitnessRejected,
+    build_formality_witness, compute_I, detect_nonformality,
+    formality_verdict, massey_triple, ternary_bracket_certificate,
     verify_witness,
 )
 

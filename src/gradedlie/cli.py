@@ -5,8 +5,10 @@ Subcommands
     cohomology  dimensions, representatives, induced bracket
     transfer    minimal-model tables, re-verified against the axioms
     massey      one triple product, or a full certificate scan
-    formality   the whole pipeline: hypotheses, equivariant search,
-                normalization, witness construction, independent check
+    formality   the verdict of ``formality.formality_verdict``: pairing
+                check, arity and pairing-degree scope, normalization
+                with the equivariant search as fallback, witness,
+                independent check, certificate scan on a rejection
     corpus      golden expectations over the bundled example documents
 
 Reports render as text (default) or as stable JSON (``--format
@@ -28,20 +30,14 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 
-from .cyclic import NormalizationError, normalize_splitting, validate_pairing
-from .dgla import (
-    EquivariantObstruction, compute_splitting, cohomology,
-    find_equivariant_splitting, validate_dgla, verify_splitting,
-)
+from .cyclic import validate_pairing
+from .dgla import compute_splitting, cohomology, validate_dgla, verify_splitting
 from .documents import (
     DocumentError, ParseError, bundled_documents, document_splitting,
     document_to_algebra, document_to_quasi_cyclic, load_document,
     parse_document,
 )
-from .formality import (
-    WitnessRejected, build_formality_witness, detect_nonformality,
-    massey_triple, verify_witness,
-)
+from .formality import detect_nonformality, formality_verdict, massey_triple
 # check_morphism stays in this namespace for callers that look it up here;
 # on the transfer path only homotopy_transfer runs it
 from .linfty import (  # noqa: F401
@@ -72,6 +68,11 @@ def _violation_finding(v) -> dict:
 
 def _note(text) -> dict:
     return {"kind": "note", "text": text}
+
+
+def _table_findings(kind, arity, table) -> list:
+    return [{"kind": kind, "arity": arity, "args": list(table.labels_of(key)),
+             "value": repr(value)} for key, value in table.entries()]
 
 
 def _certificate_finding(certificate) -> dict:
@@ -126,98 +127,44 @@ def _validate_doc(doc):
 
 def _formality_doc(doc, arity=None):
     Q = document_to_quasi_cyclic(doc)
-    A = Q.algebra
-    s0 = _splitting_for(doc, A)
-    N = arity if arity is not None else len(s0.h_vectors) + 2
-    findings = []
-    rejection = []
-
-    report = validate_pairing(Q, s0)
-    findings.append({"kind": "pairing-status", "text": report.status()})
+    s0 = _splitting_for(doc, Q.algebra)
     if doc.h0_labels is not None:
-        h0 = [A.basis_vector(label) for label in doc.h0_labels]
+        h0 = [Q.algebra.basis_vector(label) for label in doc.h0_labels]
     else:
         h0 = [v for v in s0.h_vectors if v.degree() == 0]
+    N = arity if arity is not None else len(s0.h_vectors) + 2
+    verdict = formality_verdict(Q, s0, h0, N)
 
-    normalized = None
-    if not report.is_quasi_cyclic:
-        rejection.append(_note("the pairing is not quasi-cyclic"))
-        rejection.extend(_violation_finding(v) for v in report.violations)
-    else:
-        try:
-            normalized = normalize_splitting(Q, s0, h0)
-        except NormalizationError as error:
-            if any(v.identity.startswith("invariance")
-                   for v in error.violations):
-                found = find_equivariant_splitting(A, h0)
-                if isinstance(found, EquivariantObstruction):
-                    rejection.append(_note(
-                        "no splitting invariant under the degree-0 classes "
-                        "exists"))
-                    rejection.append({"kind": "obstruction",
-                                      "text": found.describe()})
-                    rejection.extend(_violation_finding(v)
-                                     for v in error.violations)
-                else:
-                    findings.append(_note(
-                        "the given splitting is not invariant; the "
-                        "equivariant search found one, normalizing it"))
-                    try:
-                        normalized = normalize_splitting(Q, found, h0)
-                    except NormalizationError as second:
-                        rejection.append(_note(str(second)))
-                        rejection.extend(_violation_finding(v)
-                                         for v in second.violations)
-            else:
-                rejection.append(_note(str(error)))
-                rejection.extend(_violation_finding(v)
-                                 for v in error.violations)
-
-    if normalized is not None and not rejection:
-        findings.extend(_note(f"normalization: {line}")
-                        for line in normalized.notes)
-        try:
-            witness = build_formality_witness(normalized.quasi,
-                                              normalized.splitting, N)
-        except WitnessRejected as error:
-            rejection.append(_note(error.message))
-            if error.obstruction is not None:
-                rejection.append({"kind": "obstruction",
-                                  "text": error.obstruction.describe()})
-            rejection.extend(_violation_finding(v)
-                             for v in error.violations)
+    findings = [{"kind": "pairing-status", "text": verdict.pairing.status()}]
+    findings.extend(_note(text) for text in verdict.notes)
+    rejection = verdict.rejection
+    if rejection is not None:
+        findings.append(_note(rejection.message))
+        if rejection.obstruction is not None:
+            findings.append({"kind": "obstruction",
+                             "text": rejection.obstruction.describe()})
+        findings.extend(_violation_finding(v) for v in rejection.violations)
+        if verdict.certificate is not None:
+            findings.append(_certificate_finding(verdict.certificate))
         else:
-            T = witness.transfer
-            leftovers = verify_witness(witness, T, T.minimal.operation(2))
-            findings.extend({"kind": "witness-check", "text": line}
-                            for line in witness.report)
-            H = T.minimal.space
-            for p in sorted(witness.taylor):
-                table = witness.taylor[p]
-                if p == 1:
-                    findings.append(_note("f_1 is the identity"))
-                    continue
-                for key, value in table.entries():
-                    findings.append({"kind": "witness-coefficient",
-                                     "arity": p,
-                                     "args": list(table.labels_of(key)),
-                                     "value": repr(value)})
-            findings.append(_note(
-                f"independent morphism-relation check to arity {N}: "
-                f"{len(leftovers)} violations"))
-            if leftovers:
-                findings.extend(_violation_finding(v) for v in leftovers)
-                return "FAIL", findings
-            return f"FORMAL-UP-TO-{N}", findings
+            findings.append(_note("no triple-product certificate found on "
+                                  "the representatives"))
+        return verdict.status, findings
 
-    findings.extend(rejection)
-    certificate = detect_nonformality(A, s0)
-    if certificate is not None:
-        findings.append(_certificate_finding(certificate))
-        return "NON-FORMAL", findings
+    witness = verdict.witness
+    findings.extend({"kind": "witness-check", "text": line}
+                    for line in witness.report)
+    for p in sorted(witness.taylor):
+        if p == 1:
+            findings.append(_note("f_1 is the identity"))
+        else:
+            findings += _table_findings("witness-coefficient", p,
+                                        witness.taylor[p])
     findings.append(_note(
-        "no triple-product certificate found on the representatives"))
-    return "REJECTED", findings
+        f"independent morphism-relation check to arity {N}: "
+        f"{len(verdict.leftovers)} violations"))
+    findings.extend(_violation_finding(v) for v in verdict.leftovers)
+    return verdict.status, findings
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +204,11 @@ def cmd_transfer(args) -> Report:
     T = homotopy_transfer(A, s, N)
     findings = []
     for p in range(1, N + 1):
-        table = T.inclusion.component(p)
-        for key, value in table.entries():
-            findings.append({"kind": "inclusion-entry", "arity": p,
-                             "args": list(table.labels_of(key)),
-                             "value": repr(value)})
+        findings += _table_findings("inclusion-entry", p,
+                                    T.inclusion.component(p))
     for p in range(2, N + 1):
-        table = T.minimal.operation(p)
-        for key, value in table.entries():
-            findings.append({"kind": "transfer-bracket", "arity": p,
-                             "args": list(table.labels_of(key)),
-                             "value": repr(value)})
+        findings += _table_findings("transfer-bracket", p,
+                                    T.minimal.operation(p))
     # homotopy_transfer has already checked the morphism relations to
     # arity N and raises on any failure, so none are left to report
     problems = check_linfty_axioms(T.minimal, N)
@@ -329,7 +270,6 @@ _EXPECTED_CORPUS = {
 
 def cmd_corpus(args) -> Report:
     findings = []
-    all_match = True
     seen = set()
     for name, text in bundled_documents():
         doc = parse_document(text)
@@ -341,32 +281,33 @@ def cmd_corpus(args) -> Report:
         expected = _EXPECTED_CORPUS.get(name)
         got = {"validate": validate_status, "pairing": pairing,
                "formality": formality_status}
-        match = expected == got
-        all_match = all_match and match
         findings.append({"kind": "corpus-entry", "name": name, **got,
-                         "expected": expected, "match": match})
+                         "expected": expected, "match": expected == got})
     for missing in sorted(set(_EXPECTED_CORPUS) - seen):
         findings.append({"kind": "corpus-entry", "name": missing,
                          "expected": _EXPECTED_CORPUS[missing],
                          "match": False})
-        all_match = False
-    return Report("corpus", "PASS" if all_match else "FAIL", findings)
+    status = "PASS" if all(f["match"] for f in findings) else "FAIL"
+    return Report("corpus", status, findings)
 
 
 # ---------------------------------------------------------------------------
 # Rendering and dispatch
 # ---------------------------------------------------------------------------
 
+# the findings that render as a fixed prefix and their "text"
+_TEXT_PREFIX = {"note": "", "certificate": "", "pairing-status": "pairing: ",
+                "obstruction": "obstruction: ", "witness-check": "checked: "}
+
+
 def _finding_text(f) -> str:
     kind = f.get("kind")
+    if kind in _TEXT_PREFIX:
+        return _TEXT_PREFIX[kind] + f["text"]
     if kind == "violation":
         where = ", ".join(f["where"])
         text = f"violation {f['identity']} at ({where})"
         return text + (f": {f['detail']}" if f.get("detail") else "")
-    if kind == "pairing-status":
-        return f"pairing: {f['text']}"
-    if kind == "note":
-        return f["text"]
     if kind == "dimensions":
         parts = ", ".join(f"dim H^{d} = {n}" for d, n in f["by_degree"])
         return parts or "cohomology vanishes"
@@ -389,12 +330,6 @@ def _finding_text(f) -> str:
         return (f"triple product of ({triple}): class {f['class']}, "
                 f"indeterminacy of dimension {len(f['indeterminacy'])}, "
                 f"{verdict}")
-    if kind == "certificate":
-        return f["text"]
-    if kind == "obstruction":
-        return f"obstruction: {f['text']}"
-    if kind == "witness-check":
-        return f"checked: {f['text']}"
     if kind == "witness-coefficient":
         return f"f_{f['arity']}({', '.join(f['args'])}) = {f['value']}"
     if kind == "corpus-entry":

@@ -27,7 +27,7 @@ __all__ = [
     "CyclicPairing", "QuasiCyclicDgla", "PairingReport", "validate_pairing",
     "SymplecticRepresentation", "from_symplectic_representation",
     "maurer_cartan_functional", "NormalizationError", "NormalizedSplitting",
-    "normalize_splitting",
+    "precondition_violations", "normalize_splitting",
 ]
 
 class CyclicPairing:
@@ -124,7 +124,6 @@ class QuasiCyclicDgla:
             raise ValueError("pairing and algebra must share one space")
         self.algebra = algebra
         self.pairing = pairing
-        self.report = None
 
     @property
     def space(self):
@@ -210,7 +209,7 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
                                      (repr(dk), repr(k2)), "nonzero pairing"))
 
     clean = not any(v.identity.startswith("pairing_") for v in out)
-    report = PairingReport(
+    return PairingReport(
         degree=form.degree,
         cyclic_on_L=clean,
         nondegenerate_on_L=(rank_l == space.dim),
@@ -220,8 +219,6 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
         dim_h=len(reps),
         violations=out,
     )
-    Q.report = report
-    return report
 
 
 def _cyclicity_violations(bracket: MultilinearMap, form: CyclicPairing) -> list:
@@ -319,24 +316,22 @@ class SymplecticRepresentation:
             out.append(Violation("lie_jacobi",
                                  tuple(glabels[i] for i in idx),
                                  f"defect {-defect}"))
+        act = self.actions
         for a in glabels:
             for b in glabels:
                 bracket_vec = self.lie_bracket.evaluate(
                     [self.lie_space.basis_vector(a), self.lie_space.basis_vector(b)])
-                expected = _mat_sub(_mat_mul(self.actions[a], self.actions[b]),
-                                    _mat_mul(self.actions[b], self.actions[a]))
-                got = [[0] * m for _ in range(m)]
-                for idx, coeff in bracket_vec.coeffs.items():
-                    mat = self.actions[glabels[idx]]
-                    got = [[got[i][j] + coeff * mat[i][j] for j in range(m)]
-                           for i in range(m)]
+                expected = _mat_sum([(1, _mat_mul(act[a], act[b])),
+                                     (-1, _mat_mul(act[b], act[a]))], m)
+                got = _mat_sum([(c, act[glabels[k]])
+                                for k, c in bracket_vec.coeffs.items()], m)
                 if got != expected:
                     out.append(Violation("lie_action", (a, b),
                                          "commutator of actions differs from the "
                                          "action of the bracket"))
         for g in glabels:
-            defect = _mat_add(_mat_mul(_transpose(self.actions[g]), self.omega),
-                              _mat_mul(self.omega, self.actions[g]))
+            defect = _mat_sum([(1, _mat_mul(list(zip(*act[g])), self.omega)),
+                               (1, _mat_mul(self.omega, act[g]))], m)
             if any(any(row) for row in defect):
                 out.append(Violation("symplectic_condition", (g,),
                                      "action does not infinitesimally preserve omega"))
@@ -344,21 +339,18 @@ class SymplecticRepresentation:
 
 
 def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), 0)
-             for j in range(p)] for i in range(n)]
+    return [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*b)]
+            for row in a]
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+def _mat_sum(terms, m):
+    """The m x m matrix sum of c * mat over the pairs (c, mat)."""
+    total = [[0] * m for _ in range(m)]
+    for c, mat in terms:
+        for i in range(m):
+            for j in range(m):
+                total[i][j] += c * mat[i][j]
+    return total
 
 
 def from_symplectic_representation(R: SymplecticRepresentation) -> QuasiCyclicDgla:
@@ -413,7 +405,7 @@ def from_symplectic_representation(R: SymplecticRepresentation) -> QuasiCyclicDg
                     [R.lie_space.basis_vector(h), R.lie_space.basis_vector(g)])
                 c = vec.coefficient(k)
                 if c:
-                    coeffs[h] = c
+                    coeffs[dual[h_idx]] = c
             if coeffs:
                 bracket.set_entry((g, y), space.vector(coeffs))
     pairing = CyclicPairing(space, 2)
@@ -458,13 +450,33 @@ class NormalizedSplitting:
     notes: list = field(default_factory=list)
 
 
+def precondition_violations(A: DgLieAlgebra, s: Splitting, h0) -> list:
+    """The normalization preconditions, as violations: H in degrees >= 0,
+    ``h0`` closed under the bracket, H and K stable under it in positive
+    degrees."""
+    out = []
+    for v in s.h_vectors:
+        if v.degree() < 0:
+            out.append(Violation("H_nonnegative", (repr(v),),
+                                 f"representative in degree {v.degree()}"))
+    for g in h0:
+        for g2 in h0:
+            w = A.bracket_of(g, g2)
+            if not w.is_zero() and coordinates_in_span(h0, w) is None:
+                out.append(Violation("H0_closed", (repr(g), repr(g2)),
+                                     f"[{g}, {g2}] = {w} escapes H^0"))
+    out.extend(invariance_violations(A, h0, s.h_vectors, s.k_vectors,
+                                     positive_only=True))
+    return out
+
+
 def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> NormalizedSplitting:
     """Replace K by the complement orthogonal to the representatives.
 
-    Preconditions (checked, with witnesses): no representatives in
-    negative degree; the degree-0 representatives close under the
-    bracket; H and K are stable under their adjoint action in positive
-    degrees.  When the ambient algebra has negative-degree elements it is
+    Preconditions (:func:`precondition_violations`, raised with their
+    witnesses): no representatives in negative degree; the degree-0
+    representatives close under the bracket; H and K are stable under
+    their adjoint action in positive degrees.  When the ambient algebra has negative-degree elements it is
     first cut down to the quasi-isomorphic subalgebra spanned by the
     degree-0 representatives and everything in positive degrees.  Then
     each K^i is replaced by C^i = {x in H^i + K^i : (x, H^{n-i}) = 0};
@@ -476,19 +488,7 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
     h0 = list(h0_vectors) if h0_vectors is not None else [
         v for v in s.h_vectors if v.degree() == 0]
 
-    pre = []
-    for v in s.h_vectors:
-        if v.degree() < 0:
-            pre.append(Violation("H_nonnegative", (repr(v),),
-                                 f"representative in degree {v.degree()}"))
-    for g in h0:
-        for g2 in h0:
-            w = A.bracket_of(g, g2)
-            if not w.is_zero() and coordinates_in_span(h0, w) is None:
-                pre.append(Violation("H0_closed", (repr(g), repr(g2)),
-                                     f"[{g}, {g2}] = {w} escapes H^0"))
-    pre.extend(invariance_violations(A, h0, s.h_vectors, s.k_vectors,
-                                     positive_only=True))
+    pre = precondition_violations(A, s, h0)
     if pre:
         raise NormalizationError(
             "splitting does not satisfy the normalization preconditions", pre)

@@ -30,9 +30,12 @@ from .core import (
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
-    find_equivariant_splitting, invariance_violations,
+    find_equivariant_splitting,
 )
-from .cyclic import QuasiCyclicDgla, validate_pairing
+from .cyclic import (
+    NormalizationError, PairingReport, QuasiCyclicDgla, normalize_splitting,
+    precondition_violations, validate_pairing,
+)
 from .linfty import (
     LInftyMorphismToDgla, TransferResult, check_morphism, homotopy_transfer,
 )
@@ -43,7 +46,7 @@ __all__ = [
     "ternary_bracket_certificate",
     "PairingFunctional", "compute_I",
     "FormalityWitness", "WitnessRejected", "build_formality_witness",
-    "verify_witness",
+    "verify_witness", "FormalityVerdict", "formality_verdict",
 ]
 
 _HALF = Fraction(1, 2)
@@ -116,20 +119,26 @@ def massey_triple(A: DgLieAlgebra, s: Splitting, a, b, c):
     if not A.d.apply(representative).is_zero():
         return None
 
-    H = s.h_space
-    degree = a.degree() + b.degree() + c.degree() - 1
-    candidates = []
-    for w in s.h_vectors:
-        if w.degree() == b.degree() + c.degree() - 1:
-            candidates.append(s.pi.apply(A.bracket_of(a, w)))
-        if w.degree() == a.degree() + b.degree() - 1:
-            candidates.append(s.pi.apply(A.bracket_of(w, c)))
-    indeterminacy = echelon_vectors([v for v in candidates if not v.is_zero()], H)
     return MasseyTripleProduct(
         inputs=(a, b, c), primitives=(xi, eta),
         representative=representative,
         class_vector=s.pi.apply(representative),
-        indeterminacy=indeterminacy, degree=degree)
+        indeterminacy=_indeterminacy(
+            s.h_space, s.h_vectors,
+            lambda u, v: s.pi.apply(A.bracket_of(u, v)), a, b, c),
+        degree=a.degree() + b.degree() + c.degree() - 1)
+
+
+def _indeterminacy(H, classes, bracket, a, b, c) -> list:
+    """Echelon basis in ``H`` of ``bracket(a, w)`` and ``bracket(w, c)``
+    over the ``classes`` w of the degrees that shift a triple product."""
+    candidates = []
+    for w in classes:
+        if w.degree() == b.degree() + c.degree() - 1:
+            candidates.append(bracket(a, w))
+        if w.degree() == a.degree() + b.degree() - 1:
+            candidates.append(bracket(w, c))
+    return echelon_vectors([v for v in candidates if not v.is_zero()], H)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +182,11 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
         if not A.d.apply(v).is_zero():
             raise ValueError(f"triple-product input is not a cocycle: {v}")
     indices = range(len(reps))
-    seen = set()
-    candidates = []
-    for i in indices:
-        candidates.append((i, i, i))
-        seen.add((i, i, i))
-    for t in itertools.combinations_with_replacement(indices, 3):
-        if t not in seen:
-            candidates.append(t)
-            seen.add(t)
-    for t in itertools.product(indices, repeat=3):
-        if t not in seen:
-            candidates.append(t)
-
+    # each triple once, at its first place in this chain
+    candidates = dict.fromkeys(itertools.chain(
+        ((i, i, i) for i in indices),
+        itertools.combinations_with_replacement(indices, 3),
+        itertools.product(indices, repeat=3)))
     for t in candidates:
         product = massey_triple(A, s, reps[t[0]], reps[t[1]], reps[t[2]])
         if product is not None and product.nonzero_mod_indeterminacy():
@@ -210,15 +211,9 @@ def ternary_bracket_certificate(T: TransferResult, a, b, c):
                for v in (a, b, c)]
     value = T.minimal.operation(3).evaluate(classes)
     bracket2 = T.minimal.operation(2)
-    ca, cb, cc = classes
-    candidates = []
-    for i in range(H.dim):
-        w = H.basis_vector(i)
-        if H.degrees[i] == cb.degree() + cc.degree() - 1:
-            candidates.append(bracket2.evaluate([ca, w]))
-        if H.degrees[i] == ca.degree() + cb.degree() - 1:
-            candidates.append(bracket2.evaluate([w, cc]))
-    indeterminacy = echelon_vectors([v for v in candidates if not v.is_zero()], H)
+    indeterminacy = _indeterminacy(
+        H, [H.basis_vector(i) for i in range(H.dim)],
+        lambda u, v: bracket2.evaluate([u, v]), *classes)
     if value.is_zero() or coordinates_in_span(indeterminacy, value) is not None:
         return None
     return NonFormalityCertificate(
@@ -365,20 +360,7 @@ class WitnessRejected(Exception):
 
 def _hypothesis_violations(Q: QuasiCyclicDgla, s: Splitting, h0):
     """The normalization preconditions plus orthogonality, as violations."""
-    A = Q.algebra
-    out = []
-    for v in s.h_vectors:
-        if v.degree() < 0:
-            out.append(Violation("H_nonnegative", (repr(v),),
-                                 f"representative in degree {v.degree()}"))
-    for g in h0:
-        for g2 in h0:
-            w = A.bracket_of(g, g2)
-            if not w.is_zero() and coordinates_in_span(h0, w) is None:
-                out.append(Violation("H0_closed", (repr(g), repr(g2)),
-                                     f"[{g}, {g2}] = {w} escapes the span"))
-    out.extend(invariance_violations(A, h0, s.h_vectors, s.k_vectors,
-                                     positive_only=True))
+    out = precondition_violations(Q.algebra, s, h0)
     for h in s.h_vectors:
         for k in s.k_vectors:
             val = Q.pairing.evaluate(h, k)
@@ -386,6 +368,17 @@ def _hypothesis_violations(Q: QuasiCyclicDgla, s: Splitting, h0):
                 out.append(Violation("orthogonality_H_K", (repr(h), repr(k)),
                                      f"({h}, {k}) = {val}"))
     return out
+
+
+def _scope_rejection(Q: QuasiCyclicDgla, N: int):
+    """The rejection of a pairing degree above 2, or None; N < 2 raises."""
+    if N < 2:
+        raise ValueError("witness construction needs arity bound N >= 2")
+    n = Q.pairing.degree
+    return None if n < 3 else WitnessRejected(
+        f"pairing degree {n} is out of scope: the construction is valid "
+        f"through degree 2, and degree-{n} instances include non-formal "
+        f"algebras, so no witness is attempted")
 
 
 def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
@@ -402,15 +395,11 @@ def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
     from bug -- when one of the structural identities the recursion
     relies on fails.
     """
-    if N < 2:
-        raise ValueError("witness construction needs arity bound N >= 2")
+    rejection = _scope_rejection(Q, N)
+    if rejection is not None:
+        raise rejection
     A = Q.algebra
     n = Q.pairing.degree
-    if n >= 3:
-        raise WitnessRejected(
-            f"pairing degree {n} is out of scope: the construction is valid "
-            f"through degree 2, and degree-{n} instances include non-formal "
-            f"algebras, so no witness is attempted")
 
     pairing_report = validate_pairing(Q, s)
     if not pairing_report.is_quasi_cyclic:
@@ -730,3 +719,77 @@ def verify_witness(witness: FormalityWitness, T: TransferResult,
     morphism = LInftyMorphismToDgla(
         T.minimal, target, witness.taylor, witness.verified_up_to)
     return check_morphism(morphism, witness.verified_up_to)
+
+
+# ---------------------------------------------------------------------------
+# The formality verdict
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FormalityVerdict:
+    """What :func:`formality_verdict` found: FORMAL-UP-TO-N or FAIL with
+    the ``witness`` and the ``leftovers`` of its independent check, or
+    NON-FORMAL or REJECTED with the ``rejection`` and the ``certificate``
+    (None for REJECTED).  ``notes`` say how the splitting was prepared."""
+    status: str
+    pairing: PairingReport
+    notes: list
+    witness: FormalityWitness | None = None
+    leftovers: list = field(default_factory=list)
+    rejection: WitnessRejected | None = None
+    certificate: NonFormalityCertificate | None = None
+
+
+def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
+                      N: int) -> FormalityVerdict:
+    """Decide formality up to arity N, or say why no witness is built.
+
+    In order: N < 2 raises ValueError before anything runs; the pairing
+    check on ``s``; a pairing degree above 2 is out of scope; the
+    normalization of ``s`` with the degree-0 classes ``h0``, through the
+    equivariant search when ``s`` is not invariant under them; the
+    witness; its independent check.  A rejection at any step is a
+    :class:`WitnessRejected`, followed by the certificate scan on ``s``.
+    """
+    out_of_scope = _scope_rejection(Q, N)
+    pairing = validate_pairing(Q, s)
+    notes = []
+
+    def rejected(rejection):
+        certificate = detect_nonformality(Q.algebra, s)
+        status = "NON-FORMAL" if certificate is not None else "REJECTED"
+        return FormalityVerdict(status, pairing, notes, rejection=rejection,
+                                certificate=certificate)
+
+    if not pairing.is_quasi_cyclic:
+        return rejected(WitnessRejected("the pairing is not quasi-cyclic",
+                                        pairing.violations))
+    if out_of_scope is not None:
+        return rejected(out_of_scope)
+    try:
+        normalized = normalize_splitting(Q, s, h0)
+    except NormalizationError as error:
+        if not any(v.identity.startswith("invariance")
+                   for v in error.violations):
+            return rejected(WitnessRejected(str(error), error.violations))
+        found = find_equivariant_splitting(Q.algebra, h0)
+        if isinstance(found, EquivariantObstruction):
+            return rejected(WitnessRejected(
+                "no splitting invariant under the degree-0 classes exists",
+                error.violations, found))
+        notes.append("the given splitting is not invariant; the equivariant "
+                     "search found one, normalizing it")
+        try:
+            normalized = normalize_splitting(Q, found, h0)
+        except NormalizationError as second:
+            return rejected(WitnessRejected(str(second), second.violations))
+    notes.extend(f"normalization: {line}" for line in normalized.notes)
+    try:
+        witness = build_formality_witness(normalized.quasi,
+                                          normalized.splitting, N)
+    except WitnessRejected as rejection:
+        return rejected(rejection)
+    T = witness.transfer
+    leftovers = verify_witness(witness, T, T.minimal.operation(2))
+    status = "FAIL" if leftovers else f"FORMAL-UP-TO-{N}"
+    return FormalityVerdict(status, pairing, notes, witness, leftovers)

@@ -235,6 +235,31 @@ def test_formality_transfers_once(corpus_files, capsys, monkeypatch):
     assert calls == ["homotopy_transfer"]
 
 
+def test_formality_does_not_normalize_out_of_scope_documents(
+        corpus_files, capsys, monkeypatch):
+    import gradedlie.cli
+    import gradedlie.cyclic
+    import gradedlie.formality
+    modules = [m for m in (gradedlie.cyclic, gradedlie.formality,
+                           gradedlie.cli) if hasattr(m, "normalize_splitting")]
+    calls = counting(monkeypatch, "normalize_splitting", *modules)
+    code, out, _ = run(capsys, "formality", corpus_files["noformal-degree3"])
+    assert code == 1 and "out of scope" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["diagonal-symplectic", "nocontraction",
+                                  "noformal-degree3", "weighted-pair"])
+@pytest.mark.parametrize("arity", ["1", "0"])
+def test_formality_arity_below_two_exits_two(corpus_files, capsys, name,
+                                             arity):
+    code, out, err = run(capsys, "formality", corpus_files[name],
+                         "--arity", arity)
+    assert code == 2
+    assert out == ""
+    assert err == "error: witness construction needs arity bound N >= 2\n"
+
+
 def test_validate_builds_the_algebra_once(corpus_files, capsys, monkeypatch):
     # the pairing is validated on the algebra the splitting was built on
     import gradedlie.cli

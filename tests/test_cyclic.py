@@ -172,6 +172,26 @@ def test_diagonal_action_induces_the_expected_instance():
     assert validate_pairing(Q).status() == "cyclic of degree 2"
 
 
+def test_a_nonabelian_lie_algebra_gives_a_valid_cyclic_instance():
+    # sl2 = sp2 acting on Q^2: the coadjoint block [g, k^] is the sum over
+    # h of the coefficient of k in [h, g], times h^
+    labels = ["e", "f", "h"]
+    brackets = {("e", "f"): {"h": 1}, ("h", "e"): {"e": 2},
+                ("h", "f"): {"f": -2}}
+    actions = {"e": [[0, 1], [0, 0]], "f": [[0, 0], [1, 0]],
+               "h": [[1, 0], [0, -1]]}
+    R = SymplecticRepresentation(labels, brackets, ["v1", "v2"], actions,
+                                 [[0, 1], [-1, 0]])
+    assert R.validate() == []
+    Q = from_symplectic_representation(R)
+    assert validate_dgla(Q.algebra) == []
+    assert validate_pairing(Q).status() == "cyclic of degree 2"
+    V = Q.space
+    b = Q.algebra.bracket_of
+    assert repr(b(V.basis_vector("e"), V.basis_vector("h^"))) == "-f^"
+    assert repr(b(V.basis_vector("h"), V.basis_vector("e^"))) == "-2*e^"
+
+
 def test_a_bracket_breaking_jacobi_is_reported_once_per_sorted_triple():
     # sl2 with the sign of [h, f] flipped: not a Lie algebra
     labels = ["e", "f", "h"]

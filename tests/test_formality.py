@@ -11,8 +11,9 @@ from gradedlie.linfty import homotopy_transfer
 import gradedlie.formality as formality
 from gradedlie.formality import (
     FormalityWitness, MasseyTripleProduct, PairingFunctional, WitnessRejected,
-    build_formality_witness, compute_I, detect_nonformality, massey_triple,
-    ternary_bracket_certificate, verify_witness,
+    build_formality_witness, compute_I, detect_nonformality,
+    formality_verdict, massey_triple, ternary_bracket_certificate,
+    verify_witness,
 )
 from gradedlie.corpus import (
     abelian_base, diagonal_symplectic, nocontraction, noformal_degree3,
@@ -531,3 +532,94 @@ def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
     build_formality_witness(Q, s, N)
     assert sorted(calls) == [(q, j) for q in range(2, N + 2)
                              for j in range(1, q) if max(j, q - j) <= N]
+
+
+# --- the formality verdict ------------------------------------------------------
+
+def degree_zero(s):
+    return [v for v in s.h_vectors if v.degree() == 0]
+
+
+def normalizations(monkeypatch):
+    calls = []
+    original = formality.normalize_splitting
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(formality, "normalize_splitting", counted)
+    return calls
+
+
+def test_verdict_rejects_a_pairing_that_is_not_quasi_cyclic(monkeypatch):
+    line = build_algebra([("e0", 0), ("e1", 1)], {}, {})
+    Q = QuasiCyclicDgla(line, CyclicPairing(line.space, 1))
+    s = compute_splitting(line)
+    calls = normalizations(monkeypatch)
+    verdict = formality_verdict(Q, s, degree_zero(s), 3)
+    assert verdict.status == "REJECTED"
+    assert verdict.pairing.status() == "not quasi-cyclic"
+    assert verdict.rejection.message == "the pairing is not quasi-cyclic"
+    assert verdict.certificate is None and verdict.witness is None
+    assert calls == []
+
+
+def test_verdict_rejects_pairing_degree_three_before_normalizing(monkeypatch):
+    Q = noformal_degree3()
+    A, s = canonical(Q)
+    calls = normalizations(monkeypatch)
+    verdict = formality_verdict(Q, s, degree_zero(s), 4)
+    assert verdict.status == "NON-FORMAL"
+    assert verdict.pairing.status() == "cyclic of degree 3"
+    assert "out of scope" in verdict.rejection.message
+    assert verdict.certificate.triple == ("a", "a", "a")
+    assert verdict.notes == [] and calls == []
+
+
+def test_verdict_searches_for_an_invariant_splitting(monkeypatch):
+    Q = weighted_pair()
+    A, s = canonical(Q)
+    tilted = Splitting(A, s.h_vectors,
+                       [s.k_vectors[0] + A.basis_vector("x1"), s.k_vectors[1]])
+    calls = normalizations(monkeypatch)
+    verdict = formality_verdict(Q, tilted, degree_zero(tilted), 3)
+    assert verdict.status == "FORMAL-UP-TO-3"
+    assert verdict.notes == ["the given splitting is not invariant; the "
+                             "equivariant search found one, normalizing it"]
+    assert len(calls) == 2 and calls[1][1] is not tilted
+    assert verdict.leftovers == [] and verdict.rejection is None
+
+
+def test_verdict_carries_the_obstruction_and_the_certificate():
+    Q = nocontraction()
+    A, s = canonical(Q)
+    verdict = formality_verdict(Q, s, degree_zero(s), 4)
+    assert verdict.status == "NON-FORMAL"
+    rejection = verdict.rejection
+    assert rejection.message == ("no splitting invariant under the degree-0 "
+                                 "classes exists")
+    assert rejection.obstruction is not None and rejection.violations
+    assert verdict.certificate.triple == ("x", "x", "x")
+    assert verdict.witness is None
+
+
+def test_verdict_builds_and_checks_the_witness():
+    Q = weighted_pair()
+    A, s = canonical(Q)
+    verdict = formality_verdict(Q, s, degree_zero(s), 4)
+    assert verdict.status == "FORMAL-UP-TO-4"
+    assert verdict.pairing.status() == "quasi-cyclic of degree 2"
+    assert verdict.witness.verified_up_to == 4
+    assert verdict.leftovers == []
+    assert verdict.rejection is None and verdict.certificate is None
+
+
+def test_verdict_refuses_an_arity_bound_below_two_first(monkeypatch):
+    Q = nocontraction()
+    A, s = canonical(Q)
+    calls = []
+    monkeypatch.setattr(formality, "validate_pairing",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="N >= 2"):
+        formality_verdict(Q, s, degree_zero(s), 1)
+    assert calls == []
