@@ -10,9 +10,9 @@ as an ``int``, any other as a ``fractions.Fraction`` (positive
 denominator, gcd-reduced); never a float.  The two types compare and
 hash equal, so the choice never shows in results, but it keeps most
 arithmetic off the slow ``Fraction`` path.  All public values are
-treated as immutable after construction, so they can be shared freely
-across threads; sums accumulate in place only into a dict that no
-:class:`Vector` owns yet.
+treated as immutable after construction, so they can be shared freely;
+sums accumulate in place only into a dict that no :class:`Vector` owns
+yet.
 """
 
 from __future__ import annotations
@@ -689,8 +689,7 @@ class MultilinearMap:
 
     Signed values are cached per argument tuple as they are looked up, so
     a repeated tuple skips the sort.  ``table`` is written only through
-    :meth:`set_entry`, which drops that cache.  Lookups from several
-    threads may fill the cache at once: each writes the same value.
+    :meth:`set_entry`, which drops that cache.
     """
 
     def __init__(self, domain, codomain, arity, degree):

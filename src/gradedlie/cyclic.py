@@ -446,7 +446,6 @@ class NormalizedSplitting:
     quasi: QuasiCyclicDgla
     splitting: Splitting
     restricted: bool
-    invariant_all_degrees: bool
     notes: list = field(default_factory=list)
 
 
@@ -476,12 +475,13 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
     Preconditions (:func:`precondition_violations`, raised with their
     witnesses): no representatives in negative degree; the degree-0
     representatives close under the bracket; H and K are stable under
-    their adjoint action in positive degrees.  When the ambient algebra has negative-degree elements it is
-    first cut down to the quasi-isomorphic subalgebra spanned by the
-    degree-0 representatives and everything in positive degrees.  Then
-    each K^i is replaced by C^i = {x in H^i + K^i : (x, H^{n-i}) = 0};
-    the exchange is an isomorphism exactly when the representative
-    pairing is perfect, and failure is reported as such.
+    their adjoint action in positive degrees.  When the ambient algebra
+    has negative-degree elements it is first cut down to the
+    quasi-isomorphic subalgebra spanned by the degree-0 representatives
+    and everything in positive degrees.  Then each K^i is replaced by
+    C^i = {x in H^i + K^i : (x, H^{n-i}) = 0}; the exchange is an
+    isomorphism exactly when the representative pairing is perfect, and
+    failure is reported as such.
     """
     A, form = Q.algebra, Q.pairing
     n = form.degree
@@ -519,7 +519,6 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
         Q = QuasiCyclicDgla(sub, sub_form)
         A, form = sub, sub_form
         s = Splitting(A, h_new, k_new)
-        h0 = [v for v in s.h_vectors if v.degree() == 0]
         restricted = True
         notes.append(f"restricted to a subalgebra of dimension {sub.space.dim}")
 
@@ -534,9 +533,7 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
         duals = h_by_deg.get(n - deg, [])
         rows = [[form.evaluate(x, y) for x in mixed] for y in duals]
         c_vecs = []
-        for coords in kernel_vectors(rows, len(mixed)) if rows else [
-                [Scalar(int(i == t)) for i in range(len(mixed))]
-                for t in range(len(mixed))]:
+        for coords in kernel_vectors(rows, len(mixed)):
             vec = A.space.zero()
             for t, c in enumerate(coords):
                 if c:
@@ -593,6 +590,4 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
             "orthogonalized splitting failed its own consistency checks "
             "(is the pairing actually closed and cyclic?)", post)
 
-    all_deg = not any(invariance_violations(A, h0, result.h_vectors,
-                                            result.k_vectors))
-    return NormalizedSplitting(Q, result, restricted, all_deg, notes)
+    return NormalizedSplitting(Q, result, restricted, notes)

@@ -12,7 +12,7 @@ where it breaks, so callers can report precisely what went wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
@@ -246,7 +246,6 @@ class EquivariantObstruction:
     degree: int
     n_equations: int
     n_unknowns: int
-    message: str
     action_label: str = ""
     vector: Vector | None = None
     image: Vector | None = None
@@ -302,12 +301,43 @@ def _solve_retraction(m, targets, action_on_sources, action_on_targets):
     return [[solution[var(b, z)] for z in range(m)] for b in range(nt)]
 
 
+def _invariant_complement(A, h0_vectors, deg, ambient, sub, escape_text):
+    """Kernel of an ad(h0)-equivariant retraction of span(``ambient``) onto
+    span(``sub``), as vectors, or the :class:`EquivariantObstruction` in
+    degree ``deg`` when no such retraction exists.  Raises ValueError
+    with ``escape_text`` when some [g, v] leaves span(``ambient``) or
+    span(``sub``)."""
+    targets = [coordinates_in_span(ambient, v) for v in sub]
+    act_src, act_tgt = [], []
+    for g in h0_vectors:
+        src = [coordinates_in_span(ambient, A.bracket_of(g, v)) for v in ambient]
+        tgt = [coordinates_in_span(sub, A.bracket_of(g, v)) for v in sub]
+        if None in src or None in tgt:
+            raise ValueError(escape_text)
+        act_src.append(list(zip(*src)))
+        act_tgt.append(list(zip(*tgt)))
+    P = _solve_retraction(len(ambient), targets, act_src, act_tgt)
+    if P is None:
+        return EquivariantObstruction(
+            degree=deg,
+            n_equations=len(sub) * (len(sub) + len(ambient) * len(h0_vectors)),
+            n_unknowns=len(sub) * len(ambient))
+    out = []
+    for coords in kernel_vectors(P, len(ambient)):
+        acc = {}
+        for v, c in zip(ambient, coords):
+            accumulate(acc, v, c)
+        out.append(Vector(A.space, acc))
+    return out
+
+
 def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
     """Search for a splitting whose pieces are stable under the given action.
 
     The flag (coboundaries inside cocycles inside everything) is fixed;
-    the search is the linear problem for action-equivariant retractions
-    onto each flag step, solved degree by degree.  Returns a
+    one complement solve, :func:`_invariant_complement`, is applied at
+    each flag step in each degree: H in the cocycles (in degree 0 the
+    generators themselves), then K in the degree component.  Returns a
     :class:`Splitting` or an :class:`EquivariantObstruction`.
     """
     L = A.space
@@ -334,8 +364,7 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
     image = A.d.image_basis()
     h_vectors, k_vectors = [], []
     for deg in L.degrees_present():
-        basis_idx = L.indices_of_degree(deg)
-        l_vecs = [L.basis_vector(i) for i in basis_idx]
+        l_vecs = [L.basis_vector(i) for i in L.indices_of_degree(deg)]
         z_vecs = [v for v in kernel if v.degree() == deg]
         b_vecs = [v for v in image if v.degree() == deg]
 
@@ -350,61 +379,24 @@ def find_equivariant_splitting(A: DgLieAlgebra, h0_vectors):
                     "coboundaries inside the degree-0 cocycles")
             h_vectors.extend(given)
         elif b_vecs and z_vecs:
-            z_coords = lambda w: coordinates_in_span(z_vecs, w)
-            targets = [z_coords(b) for b in b_vecs]
-            act_src, act_tgt = [], []
-            for g in h0_vectors:
-                src = [z_coords(A.bracket_of(g, z)) for z in z_vecs]
-                tgt = [coordinates_in_span(b_vecs, A.bracket_of(g, b)) for b in b_vecs]
-                if any(c is None for c in src) or any(c is None for c in tgt):
-                    raise ValueError("the action does not preserve the flag; "
-                                     "is the input a valid algebra?")
-                act_src.append([[src[z][zz] for z in range(len(z_vecs))]
-                                for zz in range(len(z_vecs))])
-                act_tgt.append([[tgt[b][bb] for b in range(len(b_vecs))]
-                                for bb in range(len(b_vecs))])
-            Q = _solve_retraction(len(z_vecs), targets, act_src, act_tgt)
-            if Q is None:
-                return _build_obstruction(A, h0_vectors, deg, z_vecs, b_vecs)
-            for coords in kernel_vectors([[Q[b][z] for z in range(len(z_vecs))]
-                                          for b in range(len(b_vecs))], len(z_vecs)):
-                vec = L.zero()
-                for z, c in enumerate(coords):
-                    if c:
-                        vec = vec + z_vecs[z].scale(c)
-                h_vectors.append(vec)
+            found = _invariant_complement(
+                A, h0_vectors, deg, z_vecs, b_vecs,
+                "the action does not preserve the flag; "
+                "is the input a valid algebra?")
+            if isinstance(found, EquivariantObstruction):
+                return _build_obstruction(A, h0_vectors, found, z_vecs, b_vecs)
+            h_vectors.extend(found)
         else:
             h_vectors.extend(z_vecs)
 
         # complement of the cocycles inside the degree component
         if z_vecs and len(z_vecs) < len(l_vecs):
-            l_coords = lambda w: [w.coeffs.get(i, 0) for i in basis_idx]
-            targets = [l_coords(z) for z in z_vecs]
-            act_src, act_tgt = [], []
-            for g in h0_vectors:
-                src_imgs = [A.bracket_of(g, v) for v in l_vecs]
-                tgt_imgs = [coordinates_in_span(z_vecs, A.bracket_of(g, z)) for z in z_vecs]
-                if any(c is None for c in tgt_imgs):
-                    raise ValueError("the action does not preserve the cocycles")
-                act_src.append([[img.coeffs.get(basis_idx[zz], 0) for img in src_imgs]
-                                for zz in range(len(l_vecs))])
-                act_tgt.append([[tgt_imgs[b][bb] for b in range(len(z_vecs))]
-                                for bb in range(len(z_vecs))])
-            P = _solve_retraction(len(l_vecs), targets, act_src, act_tgt)
-            if P is None:
-                return EquivariantObstruction(
-                    degree=deg,
-                    n_equations=len(z_vecs) * (len(z_vecs) + len(l_vecs) * len(h0_vectors)),
-                    n_unknowns=len(z_vecs) * len(l_vecs),
-                    message=("no invariant complement of the cocycles in degree "
-                             f"{deg}"))
-            for coords in kernel_vectors([[P[z][l] for l in range(len(l_vecs))]
-                                          for z in range(len(z_vecs))], len(l_vecs)):
-                vec = L.zero()
-                for l, c in enumerate(coords):
-                    if c:
-                        vec = vec + l_vecs[l].scale(c)
-                k_vectors.append(vec)
+            found = _invariant_complement(
+                A, h0_vectors, deg, l_vecs, z_vecs,
+                "the action does not preserve the cocycles")
+            if isinstance(found, EquivariantObstruction):
+                return found
+            k_vectors.extend(found)
         elif not z_vecs:
             k_vectors.extend(l_vecs)
 
@@ -453,12 +445,10 @@ def _splitting_is_invariant(A, s: Splitting, h0_vectors) -> bool:
                                          s.k_vectors))
 
 
-def _build_obstruction(A, h0_vectors, deg, z_vecs, b_vecs):
-    """Scan the relaxed solution family for a one-parameter obstruction."""
-    L = A.space
-    n_eq = len(b_vecs) * (len(b_vecs) + len(z_vecs) * len(h0_vectors))
-    n_un = len(b_vecs) * len(z_vecs)
-    lex_h = extend_to_complement(z_vecs, b_vecs, L)
+def _build_obstruction(A, h0_vectors, found, z_vecs, b_vecs):
+    """Add to ``found`` a one-parameter witness from the relaxed solution
+    family, when the scan finds one."""
+    lex_h = extend_to_complement(z_vecs, b_vecs, A.space)
     for g in h0_vectors:
         if any(not A.bracket_of(g, b).is_zero() for b in b_vecs):
             continue
@@ -469,25 +459,14 @@ def _build_obstruction(A, h0_vectors, deg, z_vecs, b_vecs):
             coords = coordinates_in_span(lex_h + b_vecs, w)
             if coords is None:
                 continue
-            # sound only when the image is a pure (nonzero) coboundary: any
-            # invariant complement contains v up to a coboundary shift, and
-            # the action sends that element to w regardless of the shift,
-            # so w would have to be a nonzero coboundary inside the
-            # complement -- impossible.
-            h_part_zero = all(not c for c in coords[:len(lex_h)])
-            b_part = L.zero()
-            for j, c in enumerate(coords[len(lex_h):]):
-                if c:
-                    b_part = b_part + b_vecs[j].scale(c)
-            if h_part_zero and not b_part.is_zero():
-                return EquivariantObstruction(
-                    degree=deg, n_equations=n_eq, n_unknowns=n_un,
-                    message=(f"no invariant complement of the coboundaries in "
-                             f"degree {deg}"),
-                    action_label=repr(g), vector=v, image=w)
-    return EquivariantObstruction(
-        degree=deg, n_equations=n_eq, n_unknowns=n_un,
-        message=f"no invariant complement of the coboundaries in degree {deg}")
+            # sound only when the image is a pure (nonzero) coboundary, that
+            # is when w != 0 has no lex_h part: any invariant complement
+            # contains v up to a coboundary shift, and the action sends that
+            # element to w regardless of the shift, so w would have to be a
+            # nonzero coboundary inside the complement -- impossible.
+            if all(not c for c in coords[:len(lex_h)]):
+                return replace(found, action_label=repr(g), vector=v, image=w)
+    return found
 
 
 # ---------------------------------------------------------------------------

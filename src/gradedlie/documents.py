@@ -298,13 +298,19 @@ def parse_document(text: str) -> AlgebraDocument:
             elif header == "h0":
                 require_basis(lineno, 1, header)
                 h0_labels = []
+                end = len(header)
                 for token in words[1:]:
-                    label = label_at(token, lineno, line.index(token) + 1)
+                    column = line.index(token, end) + 1
+                    end = column - 1 + len(token)
+                    label = label_at(token, lineno, column)
                     if degrees[label] != 0:
                         raise ParseError(
                             f"degree-0 declaration lists {label!r} of "
-                            f"degree {degrees[label]}",
-                            lineno, line.index(token) + 1)
+                            f"degree {degrees[label]}", lineno, column)
+                    if label in h0_labels:
+                        raise ParseError(
+                            f"degree-0 declaration lists {label!r} twice",
+                            lineno, column)
                     h0_labels.append(label)
                 section = None
             else:

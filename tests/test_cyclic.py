@@ -242,7 +242,6 @@ def test_already_orthogonal_complement_is_kept():
     res = normalize_splitting(Q, s)
     assert [repr(v) for v in res.splitting.k_vectors] == ["u1", "u2"]
     assert res.restricted is False
-    assert res.invariant_all_degrees is True
     assert res.notes == []
 
 
@@ -318,7 +317,6 @@ def test_negative_degrees_trigger_restriction_to_a_subalgebra():
     assert sorted(res.quasi.space.labels) == ["e1", "f1"]
     assert res.splitting.k_vectors == []
     assert res.notes and "restricted" in res.notes[0]
-    assert res.invariant_all_degrees is True
 
 
 # --- single-constant perturbations ---------------------------------------------------

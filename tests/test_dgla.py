@@ -264,6 +264,39 @@ def test_obstructed_action_yields_a_certificate():
     assert "degree 1" in text and "[a, x] = -db" in text
 
 
+def _action_moves_u_to_z(brackets):
+    return build_algebra([("g", 0), ("u", 1), ("z", 1), ("du", 2)],
+                         {"u": {"du": 1}}, brackets)
+
+
+def test_no_invariant_complement_of_the_cocycles_is_an_obstruction():
+    # [g, u] = z: any retraction P onto span(z) with P(z) = 1 would need
+    # P([g, u]) = [g, P(u)] = 0
+    A = _action_moves_u_to_z({("g", "u"): {"z": 1}})
+    assert validate_dgla(A) == []
+    res = find_equivariant_splitting(A, [A.space.basis_vector("g")])
+    assert isinstance(res, EquivariantObstruction)
+    assert res.degree == 1
+    assert (res.n_equations, res.n_unknowns) == (3, 2)
+    assert res.vector is None
+    assert res.describe() == (
+        "no invariant complement in degree 1: the 3 retraction equations "
+        "in 2 unknowns are unsatisfiable")
+
+
+def test_equivariant_search_rejects_an_action_off_the_flag():
+    # [g, dv] = z moves a coboundary out of the coboundaries
+    A = build_algebra([("g", 0), ("v", 0), ("dv", 1), ("z", 1)],
+                      {"v": {"dv": 1}},
+                      {("g", "dv"): {"z": 1}, ("g", "z"): {"dv": 1}})
+    with pytest.raises(ValueError, match="does not preserve the flag"):
+        find_equivariant_splitting(A, [A.space.basis_vector("g")])
+    # [g, z] = u moves a cocycle out of the cocycles
+    B = _action_moves_u_to_z({("g", "z"): {"u": 1}})
+    with pytest.raises(ValueError, match="does not preserve the cocycles"):
+        find_equivariant_splitting(B, [B.space.basis_vector("g")])
+
+
 def test_solver_finds_a_non_canonical_invariant_complement():
     # the canonical degree-2 representative is moved into the coboundaries
     # by the action; the unique invariant representative is z - du/2

@@ -318,6 +318,8 @@ def test_odd_diagonal_pairing_must_vanish():
     ("name a\nfield Q\n\nbasis\n  x 1\n\nsplitting\n  H x\n  K x\n",
      "overlap"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\nh0 x\n", "degree-0 declaration"),
+    ("name a\nfield Q\n\nbasis\n  g 0\n  gg 0\n\nh0 gg g g\n",
+     "lists 'g' twice"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree two\n",
      "expected an integer"),
 ])
