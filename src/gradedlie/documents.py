@@ -249,6 +249,19 @@ def parse_document(text: str) -> AlgebraDocument:
             raise ParseError(f"unknown basis label {token!r}", line, column)
         return token
 
+    def labels_from(tokens, line, lineno, end, what):
+        """Each token's label and column, searched after the previous
+        token (from ``end`` on); a label may appear once."""
+        seen = set()
+        for token in tokens:
+            column = line.index(token, end) + 1
+            end = column - 1 + len(token)
+            label = label_at(token, lineno, column)
+            if label in seen:
+                raise ParseError(f"{what} lists {label!r} twice", lineno, column)
+            seen.add(label)
+            yield label, column
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -298,19 +311,13 @@ def parse_document(text: str) -> AlgebraDocument:
             elif header == "h0":
                 require_basis(lineno, 1, header)
                 h0_labels = []
-                end = len(header)
-                for token in words[1:]:
-                    column = line.index(token, end) + 1
-                    end = column - 1 + len(token)
-                    label = label_at(token, lineno, column)
+                for label, column in labels_from(
+                        words[1:], line, lineno, len(header),
+                        "degree-0 declaration"):
                     if degrees[label] != 0:
                         raise ParseError(
                             f"degree-0 declaration lists {label!r} of "
                             f"degree {degrees[label]}", lineno, column)
-                    if label in h0_labels:
-                        raise ParseError(
-                            f"degree-0 declaration lists {label!r} twice",
-                            lineno, column)
                     h0_labels.append(label)
                 section = None
             else:
@@ -383,8 +390,9 @@ def parse_document(text: str) -> AlgebraDocument:
             if not m:
                 raise ParseError("expected: H <labels...> or K <labels...>",
                                  lineno, column)
-            labels = [label_at(t, lineno, line.index(t) + 1)
-                      for t in m.group(2).split()]
+            labels = [label for label, _ in labels_from(
+                m.group(2).split(), line, lineno, m.start(2),
+                f"{m.group(1)} line")]
             if m.group(1) == "H":
                 if h_labels is not None:
                     raise ParseError("duplicate H line", lineno, column)

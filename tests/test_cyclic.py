@@ -202,11 +202,36 @@ def test_a_bracket_breaking_jacobi_is_reported_once_per_sorted_triple():
     sums = lie_jacobi_cyclic_sums_naive(labels, brackets)
     assert {tuple(sorted(t, key=labels.index)) for t in sums} \
         == {("e", "f", "h")}
-    expected = [("lie_jacobi", t, f"defect {R.lie_space.vector(s)}")
+    expected = [("jacobi", t, f"defect {R.lie_space.vector(s)}")
                 for t, s in sums.items()
                 if list(t) == sorted(t, key=labels.index)]
-    assert expected == [("lie_jacobi", ("e", "f", "h"), "defect 2*h")]
-    assert [(v.identity, v.where, v.detail) for v in R.validate()] == expected
+    assert expected == [("jacobi", ("e", "f", "h"), "defect 2*h")]
+    rows = [(v.identity, v.where, v.detail) for v in R.validate()]
+    # the built algebra also fails Jacobi on the coadjoint triples
+    assert [r for r in rows if set(r[1]) <= set(labels)] == expected
+    assert {r[1] for r in rows} == {("e", "f", "h"), ("e", "f", "h^"),
+                                    ("e", "h", "h^"), ("f", "h", "h^")}
+
+
+@pytest.mark.parametrize("omega, row", [
+    ([[0, 1], [1, 0]], ("omega_skew", ("v1", "v2"), "defect 2")),
+    ([[0, 0], [0, 0]], ("omega_nondegenerate", ("v1", "v2"), "rank 0 < 2")),
+])
+def test_a_bad_omega_is_reported(omega, row):
+    R = SymplecticRepresentation(["g"], {}, ["v1", "v2"], {}, omega)
+    assert row in [(v.identity, v.where, v.detail) for v in R.validate()]
+
+
+@pytest.mark.parametrize("v_labels, action_label, clash", [
+    (["v1", "v2"], "gg", "'gg'"), (["g^", "v2"], "g", "'g\\^'"),
+    (["g", "v2"], "g", "'g'"), (["v1", "v1"], "g", "'v1'"),
+])
+def test_a_label_naming_no_or_two_basis_vectors_is_rejected(
+        v_labels, action_label, clash):
+    with pytest.raises(ValueError, match=clash):
+        SymplecticRepresentation(["g"], {}, v_labels,
+                                 {action_label: [[1, 0], [0, -1]]},
+                                 [[0, 1], [-1, 0]])
 
 
 def test_quadratic_functional_on_the_diagonal_instance():
@@ -228,7 +253,7 @@ def test_preserving_actions_give_cyclic_instances_and_violations_surface():
     for _ in range(6):
         R = random_symplectic(rng, violate=True)
         kinds = {v.identity for v in R.validate()}
-        assert "symplectic_condition" in kinds
+        assert "pairing_cyclic" in kinds
         rep = validate_pairing(from_symplectic_representation(R))
         assert not rep.is_cyclic
         assert any(v.identity == "pairing_cyclic" for v in rep.violations)
@@ -273,6 +298,18 @@ def test_non_perfect_representative_pairing_is_an_error():
     form = CyclicPairing(A.space, 2, [(("x", "u"), 1)])
     with pytest.raises(NormalizationError, match="is not an isomorphism"):
         normalize_splitting(QuasiCyclicDgla(A, form), compute_splitting(A))
+
+
+def test_a_pairing_that_is_not_closed_fails_the_post_checks():
+    # (g, du1) = 1 makes du1 = d(u1) pair with a representative, so the
+    # orthogonalized K + d(K) is not the complement of H
+    Q = weighted_pair()
+    Q.pairing.set_entry(("g", "du1"), 1)
+    with pytest.raises(NormalizationError,
+                       match="failed its own consistency checks") as exc:
+        normalize_splitting(Q, compute_splitting(Q.algebra))
+    assert ("orthogonal_complement", ("du1", "g")) in [
+        (v.identity, v.where) for v in exc.value.violations]
 
 
 def test_negative_degree_representatives_violate_the_preconditions():

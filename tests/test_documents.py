@@ -322,6 +322,10 @@ def test_odd_diagonal_pairing_must_vanish():
      "lists 'g' twice"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree two\n",
      "expected an integer"),
+    ("name a\nfield Q\n\nbasis\n  u1 1\n  u2 1\n\nsplitting\n  H\n"
+     "  K u1 u2 K\n", "^line 10, column 11: unknown basis label 'K'"),
+    ("name a\nfield Q\n\nbasis\n  g 0\n  x1 1\n  x2 1\n\nsplitting\n"
+     "  H g x1 x1 x2\n  K\n", "^line 10, column 10: H line lists 'x1' twice"),
 ])
 def test_schema_violations(text, message):
     with pytest.raises((ParseError, DocumentError), match=message):
