@@ -29,7 +29,7 @@ __all__ = [
     "sort_basis_tuple", "accumulate", "accumulate_composites",
     "accumulate_bracket_halves", "jacobi_defects",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
-    "coordinates_in_span", "extend_to_complement",
+    "coordinates_in_span", "independent_positions", "extend_to_complement",
 ]
 
 Scalar = Fraction
@@ -930,24 +930,24 @@ def coordinates_in_span(vectors, target: Vector):
     return solution
 
 
-def extend_to_complement(candidates, inside, space):
-    """Greedy lexicographic complement of span(inside) using ``candidates``.
+def independent_positions(vectors) -> list:
+    """Positions t where ``vectors[t]`` is outside the span of the vectors
+    before it: the pivot columns of one rref of the matrix whose columns
+    are ``vectors``, which are its greedy-earliest independent columns."""
+    dim = vectors[0].space.dim if vectors else 0
+    return rref([[v.coeffs.get(j, 0) for v in vectors] for j in range(dim)])[1]
 
-    Walks the candidate vectors in order and keeps each one that enlarges
-    the span; the result is the earliest candidate subset spanning a
-    complement of span(inside) inside span(inside + candidates).
-    """
-    picked = []
-    rows = [v.dense() for v in inside]
-    rank = len(rref(rows)[1]) if rows else 0
-    for cand in candidates:
-        trial = rows + [cand.dense()]
-        new_rank = len(rref(trial)[1])
-        if new_rank > rank:
-            picked.append(cand)
-            rows = trial
-            rank = new_rank
-    return picked
+
+def extend_to_complement(candidates, inside, space):
+    """Greedy lexicographic complement of span(inside) using ``candidates``:
+    the candidates at the :func:`independent_positions` of ``inside +
+    candidates`` past ``len(inside)``, each outside the span of ``inside``
+    and the candidates before it.  The choice depends on ``inside`` only
+    through its span, so ``inside`` may be dependent."""
+    n = len(inside)
+    return [candidates[t - n]
+            for t in independent_positions(list(inside) + list(candidates))
+            if t >= n]
 
 
 # Serial stubs for bench/ only; ROADMAP item 3's bench change deletes them.

@@ -187,6 +187,7 @@ def parse_document(text: str) -> AlgebraDocument:
     pairing_degree = None
     pairing = {}
     pairing_lines = {}
+    pairing_sources = set()
     h_labels = k_labels = h0_labels = None
     section = None
     seen_sections = set()
@@ -218,6 +219,10 @@ def parse_document(text: str) -> AlgebraDocument:
             bracket_lines[key] = lineno
 
     def store_pairing(left, right, value, lineno, column):
+        if (left, right) in pairing_sources:
+            raise ParseError(f"duplicate pairing entry for ({left}, {right})",
+                             lineno, column)
+        pairing_sources.add((left, right))
         if left == right and degrees[left] % 2 and value:
             # graded symmetry forces (u, u) = -(u, u) for odd u
             raise ParseError(
@@ -271,7 +276,7 @@ def parse_document(text: str) -> AlgebraDocument:
         if not indented:
             words = line.split()
             header = words[0]
-            if header in seen_sections and header != "pairing":
+            if header in seen_sections:
                 raise ParseError(f"duplicate section {header!r}", lineno, 1)
             if header == "name":
                 if len(words) != 2:
@@ -295,8 +300,6 @@ def parse_document(text: str) -> AlgebraDocument:
                 require_basis(lineno, 1, header)
                 section = header
             elif header == "pairing":
-                if pairing_degree is not None:
-                    raise ParseError("duplicate section 'pairing'", lineno, 1)
                 if len(words) != 3 or words[1] != "degree":
                     raise ParseError("expected: pairing degree <integer>",
                                      lineno, 1)
@@ -362,8 +365,8 @@ def parse_document(text: str) -> AlgebraDocument:
                 raise ParseError(
                     "expected: [<label>, <label>] = <combination>",
                     lineno, column)
-            left = label_at(m.group(2), lineno, column)
-            right = label_at(m.group(3), lineno, column)
+            left = label_at(m.group(2), lineno, m.start(2) + 1)
+            right = label_at(m.group(3), lineno, m.start(3) + 1)
             value = _parse_combination(
                 line[m.end():], lineno, m.end(), degrees,
                 degrees[left] + degrees[right], f"[{left}, {right}]")
@@ -374,8 +377,8 @@ def parse_document(text: str) -> AlgebraDocument:
                 raise ParseError(
                     "expected: (<label>, <label>) = <rational>",
                     lineno, column)
-            left = label_at(m.group(2), lineno, column)
-            right = label_at(m.group(3), lineno, column)
+            left = label_at(m.group(2), lineno, m.start(2) + 1)
+            right = label_at(m.group(3), lineno, m.start(3) + 1)
             if degrees[left] + degrees[right] != pairing_degree:
                 raise ParseError(
                     f"({left}, {right}) has total degree "

@@ -391,9 +391,9 @@ def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
     the obstruction certificate when no invariant splitting exists at
     all), ValueError when the instance looks fixable but the caller
     skipped the equivariant search or the normalization, and
-    AssertionError -- after re-checking the hypotheses to tell input
-    from bug -- when one of the structural identities the recursion
-    relies on fails.
+    AssertionError when one of the structural identities the recursion
+    relies on fails: the hypotheses were verified clean on entry, so
+    that failure is an implementation bug, and the message says so.
     """
     rejection = _scope_rejection(Q, N)
     if rejection is not None:
@@ -458,12 +458,6 @@ def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
         else:
             taylor = _build_degree_two_witness(Q, s, T, N, report)
     except AssertionError as failure:
-        recheck = _hypothesis_violations(Q, s, h0)
-        if recheck:
-            raise AssertionError(
-                f"{failure} -- hypothesis re-check found violations "
-                f"({'; '.join(v.identity for v in recheck)}): the input "
-                f"does not satisfy the construction's assumptions") from None
         raise AssertionError(
             f"{failure} -- hypotheses re-verified clean: this is an "
             f"implementation bug, not an input problem") from None

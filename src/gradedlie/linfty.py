@@ -303,7 +303,6 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
     H = s.h_space
     # both constructors keep only the nonzero tables
     minimal = LInftyAlgebra(H, bracket_tables, N)
-    assert minimal.is_minimal, "internal error: arity-1 bracket crept in"
     inclusion = LInftyMorphismToDgla(minimal, A, iota_tables, N)
 
     induced = cohomology(A, s).bracket

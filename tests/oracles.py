@@ -202,6 +202,53 @@ def solve_naive(rows, rhs):
     return solution, kernel
 
 
+def _rank_naive(vectors):
+    return len(rref_naive([v.dense() for v in vectors])[1]) if vectors else 0
+
+
+def independent_positions_naive(vectors):
+    """Positions t where ``vectors[t]`` raises the rank of the vectors
+    before it, with two eliminations per position."""
+    return [t for t in range(len(vectors))
+            if _rank_naive(vectors[:t + 1]) > _rank_naive(vectors[:t])]
+
+
+def complement_naive(candidates, inside):
+    """Greedy complement of span(inside): walk the candidates and keep
+    each one that raises the rank, with one elimination per candidate."""
+    picked = []
+    rank = _rank_naive(inside)
+    for cand in candidates:
+        new_rank = _rank_naive(list(inside) + picked + [cand])
+        if new_rank > rank:
+            picked.append(cand)
+            rank = new_rank
+    return picked
+
+
+def canonical_splitting_naive(algebra):
+    """H and K of the canonical splitting, degree by degree: the cocycles
+    from a naive kernel solve, H their greedy complement of the
+    coboundaries, K the earliest basis vectors whose images raise the
+    rank of the images picked so far.  Sorted by degree, then by pick."""
+    L = algebra.space
+    images = [algebra.d.apply(L.basis_vector(i)) for i in range(L.dim)]
+    rows = [[img.coeffs.get(j, 0) for img in images] for j in range(L.dim)]
+    kernel = [Vector(L, {i: c for i, c in enumerate(vec) if c})
+              for vec in solve_naive(rows, [0] * L.dim)[1]]
+    h, k = [], []
+    for deg in sorted(set(L.degrees)):
+        coboundaries = [v for v in images if v.degree() == deg]
+        h += complement_naive([v for v in kernel if v.degree() == deg],
+                              coboundaries)
+        picked = []
+        for i in L.indices_of_degree(deg):
+            if _rank_naive(picked + [images[i]]) > len(picked):
+                picked.append(images[i])
+                k.append(L.basis_vector(i))
+    return h, k
+
+
 def splitting_maps_naive(splitting):
     """The projection and homotopy columns of a splitting, one solve per
     basis vector: e_l = sum_t x_t v_t over v = H + d(K) + K, then

@@ -168,7 +168,7 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
                    "  [x, q] = x\n", encoding="utf-8")
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
-    assert "line 8, column 3" in err
+    assert "line 8, column 7" in err
 
 
 def test_unknown_massey_label_exits_two(corpus_files, capsys):

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from gradedlie.core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
     accumulate, accumulate_bracket_halves, canonical_tuples, coordinates_in_span, echelon_vectors,
-    enumerate_shuffles, half_sum_splits, kernel_vectors, koszul_sign,
+    enumerate_shuffles, extend_to_complement, half_sum_splits,
+    independent_positions, kernel_vectors, koszul_sign,
     repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
     sort_basis_tuple,
 )
 
 from oracles import (
-    assert_exact_scalar, rref_naive, shuffles_by_filter, sign_by_inversions,
-    solve_naive,
+    assert_exact_scalar, complement_naive, independent_positions_naive,
+    rref_naive, shuffles_by_filter, sign_by_inversions, solve_naive,
 )
 
 
@@ -717,6 +718,34 @@ def test_coordinates_in_span():
     coords = coordinates_in_span(basis, V.vector({"x": 2, "y": 5}))
     assert coords == [Fraction(2), Fraction(3)]
     assert coordinates_in_span(basis, V.basis_vector("z")) is None
+
+
+def test_independent_positions_and_complement_match_the_greedy_walk():
+    V = GradedVectorSpace([(f"e{i}", 0) for i in range(5)])
+    rng = random.Random(17)
+
+    def draw():
+        return Vector(V, {i: rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+                          for i in range(5)})
+
+    assert independent_positions([]) == []
+    for _ in range(100):
+        inside = [draw() for _ in range(rng.randint(0, 4))]
+        if len(inside) >= 2:  # a dependent inside
+            inside.append(inside[0] + inside[1].scale(3))
+        inside.insert(rng.randint(0, len(inside)), V.zero())
+        candidates = [draw() for _ in range(rng.randint(0, 6))]
+        if candidates:  # a repeated candidate
+            candidates.insert(rng.randint(0, len(candidates)),
+                              rng.choice(candidates))
+        candidates.insert(rng.randint(0, len(candidates)), V.zero())
+        vectors = inside + candidates
+        assert independent_positions(vectors) == \
+            independent_positions_naive(vectors)
+        got = extend_to_complement(candidates, inside, V)
+        want = complement_naive(candidates, inside)
+        # by identity: a repeat must not stand in for its first copy
+        assert [id(v) for v in got] == [id(v) for v in want]
 
 
 def test_echelon_vectors_deterministic():

@@ -13,13 +13,14 @@ from gradedlie.dgla import (
     validate_dgla, verify_splitting,
 )
 from gradedlie.corpus import (
-    nocontraction, noformal_degree3, random_quasi_cyclic_two_step,
-    standard_corpus, weighted_pair,
+    nocontraction, noformal_degree3, perturb_quasi_cyclic,
+    random_quasi_cyclic_two_step, standard_corpus, weighted_pair,
 )
 
 from oracles import (
-    assert_exact_scalar, build_algebra, degree_rich_algebras,
-    dgla_violations_naive, rref_naive, splitting_maps_naive,
+    assert_exact_scalar, build_algebra, canonical_splitting_naive,
+    degree_rich_algebras, dgla_violations_naive, rref_naive,
+    splitting_maps_naive,
 )
 
 
@@ -215,6 +216,57 @@ def test_splitting_maps_agree_with_one_solve_per_basis_vector(data):
         for c in v.coeffs.values():
             assert_exact_scalar(c)
     assert verify_splitting(s) == [], name
+    # the identities verify_splitting leaves to the constructor:
+    # pi iota = id, h iota = 0, pi h = 0, h h = 0
+    for i, v in enumerate(s.h_vectors):
+        assert _apply_columns(pi_cols, v.coeffs) == {i: 1}, name
+        assert _apply_columns(h_cols, v.coeffs) == {}, name
+    for column in h_cols.values():
+        assert _apply_columns(pi_cols, column) == {}, name
+        assert _apply_columns(h_cols, column) == {}, name
+
+
+def _apply_columns(columns, coeffs):
+    """The map with the given columns applied to a coefficient dict."""
+    out = {}
+    for l, c in coeffs.items():
+        for i, x in columns.get(l, {}).items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def test_compute_splitting_matches_the_greedy_loops():
+    inputs = [(name, Q.algebra) for name, Q in CORPUS] + degree_rich_algebras()
+    rng = random.Random(11)
+    for name, Q in CORPUS:
+        for _ in range(20):
+            desc, edited = perturb_quasi_cyclic(Q, rng)
+            inputs.append((f"{name}: {desc}", edited.algebra))
+    raised = 0
+    for name, A in inputs:
+        h, k = canonical_splitting_naive(A)
+        try:
+            expected = Splitting(A, h, k)
+        except ValueError as error:
+            raised += 1
+            L = A.space
+            defects = ((i, A.d.apply(A.d.apply(L.basis_vector(i))))
+                       for i in range(L.dim))
+            i, dd = next(((i, v) for i, v in defects if not v.is_zero()),
+                         (None, None))
+            message = (str(error) if i is None else
+                       f"differential does not square to zero: "
+                       f"d(d({L.labels[i]})) = {dd}")
+            with pytest.raises(ValueError) as info:
+                compute_splitting(A)
+            assert str(info.value) == message, name
+            continue
+        s = compute_splitting(A)
+        assert [repr(v) for v in s.h_vectors] == \
+            [repr(v) for v in expected.h_vectors], name
+        assert [repr(v) for v in s.k_vectors] == \
+            [repr(v) for v in expected.k_vectors], name
+    assert raised  # the d^2 != 0 branch ran
 
 
 def test_non_cocycle_representative_fails_verification():

@@ -269,8 +269,18 @@ def test_parse_error_carries_line_and_column():
     with pytest.raises(ParseError) as info:
         parse_document(text)
     assert info.value.line == 8
-    assert info.value.column == 3
-    assert str(info.value).startswith("line 8, column 3")
+    assert info.value.column == 7
+    assert str(info.value).startswith("line 8, column 7")
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_a_repeated_pairing_entry_is_a_parse_error(value):
+    # same rule as a repeated bracket entry, whatever the second value
+    text = dict(bundled_documents())["weighted-pair"].replace(
+        "  (x1, x2) = 1\n", f"  (x1, x2) = 1\n  (x1, x2) = {value}\n")
+    with pytest.raises(ParseError, match=r"^line \d+, column 3: duplicate "
+                       r"pairing entry for \(x1, x2\)$"):
+        parse_document(text)
 
 
 def test_differential_degree_bookkeeping():
@@ -309,6 +319,8 @@ def test_odd_diagonal_pairing_must_vanish():
     ("name a\nfield Q\n", "empty basis"),
     ("name a\nfield Q\n\nbracket\n  [x, x] = x\n", "must precede"),
     ("name a\nfield Q\n\nbasis\n  x 1\nbasis\n  y 1\n", "duplicate section"),
+    ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree 2\n"
+     "pairing degree 2\n", "^line 8, column 1: duplicate section 'pairing'"),
     ("name a\nfield Q\n\n  x 1\n", "outside any section"),
     ("name a\nfield Q\n\nmystery\n", "unknown section"),
     ("name a\nfield Q\n\nbasis\n  x 1\n  x 2\n", "duplicate basis label"),
@@ -322,6 +334,8 @@ def test_odd_diagonal_pairing_must_vanish():
      "lists 'g' twice"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree two\n",
      "expected an integer"),
+    ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree 2\n  (qq, x) = 1\n",
+     "^line 8, column 4: unknown basis label 'qq'"),
     ("name a\nfield Q\n\nbasis\n  u1 1\n  u2 1\n\nsplitting\n  H\n"
      "  K u1 u2 K\n", "^line 10, column 11: unknown basis label 'K'"),
     ("name a\nfield Q\n\nbasis\n  g 0\n  x1 1\n  x2 1\n\nsplitting\n"
