@@ -48,8 +48,9 @@ print("\n<x1, x2, x1> defined:",
       massey_triple(W.algebra, sw, "x1", "x2", "x1") is not None)
 
 # ---------------------------------------------------------------------------
-# The scanning certifier walks all triples of representatives
-# (diagonal ones first) and returns the first essential certificate.
+# The scanning certifier walks the triples of representatives (diagonal
+# ones first), skips those that cannot certify, and returns the first
+# essential certificate.
 # ---------------------------------------------------------------------------
 certificate = detect_nonformality(Q.algebra, s)
 print("\nscan of the first instance:")

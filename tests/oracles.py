@@ -249,6 +249,58 @@ def canonical_splitting_naive(algebra):
     return h, k
 
 
+def detect_nonformality_naive(algebra, splitting):
+    """The first Massey certificate of the scan, by brute force, as
+    (triple labels, class repr, indeterminacy reprs), or None.
+
+    Every ordered triple of representatives is visited in the scan's
+    order (diagonal, then non-decreasing, then the rest), nothing is
+    pruned or cached: each triple recomputes its inner brackets, both
+    primitives and its whole indeterminacy, whose echelon basis and span
+    test come from naive eliminations."""
+    reps, H = splitting.h_vectors, splitting.h_space
+    pi, h = splitting.pi.apply, splitting.h.apply
+    for v in reps:
+        if not algebra.d.apply(v).is_zero():
+            raise ValueError(f"triple-product input is not a cocycle: {v}")
+
+    def bracket(u, v):
+        return algebra.bracket.evaluate([u, v])
+
+    n = len(reps)
+    order, seen = [], set()
+    for t in ([(i, i, i) for i in range(n)]
+              + list(itertools.combinations_with_replacement(range(n), 3))
+              + list(itertools.product(range(n), repeat=3))):
+        if t not in seen:
+            seen.add(t)
+            order.append(t)
+    for t in order:
+        a, b, c = (reps[i] for i in t)
+        ab, bc = bracket(a, b), bracket(b, c)
+        if not pi(ab).is_zero() or not pi(bc).is_zero():
+            continue
+        xi, eta = h(ab).scale(-1), h(bc).scale(-1)
+        sign = -1 if a.degree() % 2 else 1
+        representative = bracket(xi, c) - bracket(a, eta).scale(sign)
+        if not algebra.d.apply(representative).is_zero():
+            continue
+        candidates = []
+        for w in reps:
+            if w.degree() == b.degree() + c.degree() - 1:
+                candidates.append(pi(bracket(a, w)).dense())
+            if w.degree() == a.degree() + b.degree() - 1:
+                candidates.append(pi(bracket(w, c)).dense())
+        red, pivots = rref_naive(candidates) if candidates else ([], [])
+        indeterminacy = [Vector(H, dict(enumerate(red[r])))
+                         for r in range(len(pivots))]
+        value = pi(representative)
+        if _rank_naive(indeterminacy + [value]) > len(indeterminacy):
+            return (tuple(repr(v) for v in (a, b, c)), repr(value),
+                    [repr(v) for v in indeterminacy])
+    return None
+
+
 def splitting_maps_naive(splitting):
     """The projection and homotopy columns of a splitting, one solve per
     basis vector: e_l = sum_t x_t v_t over v = H + d(K) + K, then

@@ -276,7 +276,7 @@ def test_internal_error_exits_three_with_one_line(corpus_files, tmp_path,
     # one extra bracket constant makes the algebra invalid; transfer does
     # not validate it first (a known gap), and its inclusion then fails
     # the morphism relations, the library's own consistency check
-    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
     bad = tmp_path / "edited.alg"
     bad.write_text(text.replace("[b, x] = y\n", "[b, x] = y\n  [b, p] = -2*x\n"),
                    encoding="utf-8")
@@ -321,7 +321,7 @@ def test_a_usage_error_exits_two_with_a_warm_parser(corpus_files, capsys):
 
 def test_a_differential_that_does_not_square_to_zero_is_named(
         corpus_files, tmp_path, capsys):
-    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
     text = text.replace("  p -> dp\n", "  p -> dp\n  db -> 2*dp\n")
     bad = tmp_path / "dsquared.alg"
     bad.write_text(text[:text.index("splitting\n")], encoding="utf-8")
@@ -334,7 +334,7 @@ def test_a_differential_that_does_not_square_to_zero_is_named(
 
 def test_validate_fails_on_d_squared_with_a_pairing_and_no_splitting(
         corpus_files, tmp_path, capsys):
-    text = open(corpus_files["nocontraction"], encoding="utf-8").read()
+    text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
     text = text.replace("  p -> dp\n", "  p -> dp\n  db -> 2*dp\n")
     bad = tmp_path / "dsquared.alg"
     bad.write_text(text[:text.index("splitting\n")], encoding="utf-8")

@@ -17,11 +17,19 @@ from gradedlie.formality import (
 )
 from gradedlie.corpus import (
     abelian_base, diagonal_symplectic, nocontraction, noformal_degree3,
-    random_quasi_cyclic_two_step, standard_corpus, tensor_cell, weighted_pair,
+    random_quasi_cyclic_two_step, random_symplectic, standard_corpus,
+    tensor_cell, weighted_pair,
+)
+from gradedlie.documents import (
+    bundled_documents, document_splitting, document_to_quasi_cyclic,
+    parse_document,
 )
 from gradedlie import from_symplectic_representation, normalize_splitting
 
-from oracles import assert_exact_scalar, build_algebra
+from oracles import (
+    assert_exact_scalar, build_algebra, degree_rich_algebras,
+    detect_nonformality_naive,
+)
 
 
 def canonical(Q):
@@ -83,6 +91,16 @@ def test_triple_product_rejects_non_cocycles():
     A, s = canonical(nocontraction())
     with pytest.raises(ValueError, match="cocycle"):
         massey_triple(A, s, "b", "x", "x")
+
+
+def test_triple_product_rejects_zero_and_mixed_degree_inputs():
+    A, s = canonical(nocontraction())
+    with pytest.raises(ValueError, match="no single degree: 0"):
+        massey_triple(A, s, A.space.zero(), "x", "x")
+    mixed = A.basis_vector("a") + A.basis_vector("x")
+    assert A.d.apply(mixed).is_zero()
+    with pytest.raises(ValueError, match="no single degree"):
+        massey_triple(A, s, "x", mixed, "x")
 
 
 def test_zero_class_with_nonzero_indeterminacy():
@@ -425,6 +443,75 @@ def test_scan_rejects_a_non_cocycle_representative_before_any_certificate():
     assert massey_triple(A, s, "x", "x", "x").nonzero_mod_indeterminacy()
     with pytest.raises(ValueError, match="not a cocycle: c"):
         detect_nonformality(A, s)
+
+
+def scan_inputs():
+    """(name, algebra, splitting) over every kind of scan input: classes
+    in one degree (every triple pruned) and in several."""
+    out = [(name, Q.algebra, None) for name, Q in standard_corpus()]
+    out += [(name, A, None) for name, A in degree_rich_algebras()]
+    for name, text in bundled_documents():
+        doc = parse_document(text)
+        A = document_to_quasi_cyclic(doc).algebra
+        out.append((name, A, document_splitting(doc, A)))
+    rng = random.Random(3)
+    for t in range(20):
+        Q = from_symplectic_representation(random_symplectic(rng))
+        out.append((f"symplectic {t}", Q.algebra, None))
+    for t in range(4):
+        Q = random_quasi_cyclic_two_step(rng, 4, 3)
+        out.append((f"quasi-cyclic {t}", Q.algebra, None))
+    return out
+
+
+def test_scan_matches_the_brute_force_scan():
+    certified = 0
+    for name, A, s in scan_inputs():
+        try:
+            s = s or compute_splitting(A)
+        except ValueError:
+            continue  # d^2 != 0: no splitting to scan
+        expected = detect_nonformality_naive(A, s)
+        certificate = detect_nonformality(A, s)
+        got = certificate and (
+            certificate.triple, repr(certificate.class_vector),
+            [repr(v) for v in certificate.indeterminacy])
+        assert got == expected, name
+        certified += expected is not None
+    assert certified >= 2
+
+
+def test_scan_certifies_past_the_non_decreasing_triples():
+    # [x, x] = w survives, so no triple with x next to x is defined; the
+    # first certificate is <x, a, x>, whose first pair (x, a) reverses the
+    # pair (a, x) of earlier triples and has the opposite primitive
+    A = build_algebra(
+        [("a", 0), ("b", 0), ("x", 1), ("y", 1), ("db", 1), ("w", 2)],
+        {"b": {"db": 1}},
+        {("a", "x"): {"db": -1}, ("b", "x"): {"y": 1}, ("x", "x"): {"w": 1}})
+    assert validate_dgla(A) == []
+    s = compute_splitting(A)
+    assert [repr(v) for v in s.h_vectors] == ["a", "x", "y", "w"]
+    certificate = detect_nonformality(A, s)
+    assert certificate.triple == ("x", "a", "x")
+    assert repr(certificate.class_vector) == "2*y"
+    assert detect_nonformality_naive(A, s) == (("x", "a", "x"), "2*y", [])
+
+
+def test_scan_brackets_nothing_when_every_triple_is_pruned(monkeypatch):
+    # classes in degree 1 only: every triple product lands in degree 2
+    A = random_quasi_cyclic_two_step(random.Random(5), 4, 6).algebra
+    s = compute_splitting(A)
+    assert s.h_vectors and {v.degree() for v in s.h_vectors} == {1}
+    calls = []
+    original = MultilinearMap.evaluate
+
+    def counted(self, args):
+        calls.append(args)
+        return original(self, args)
+    monkeypatch.setattr(MultilinearMap, "evaluate", counted)
+    assert detect_nonformality(A, s) is None
+    assert calls == []
 
 
 # --- planted defects in the degree-0 action checks ------------------------------
