@@ -656,11 +656,18 @@ class LinearMap:
 
     def kernel_basis(self):
         """Deterministic basis of the kernel, as domain vectors."""
+        return self.pivots_and_kernel()[1]
+
+    def pivots_and_kernel(self):
+        """One rref of the matrix of this map gives both its pivot columns
+        (the :func:`independent_positions` of the images of the basis) and
+        the kernel basis, as domain vectors."""
         rows = [[self.columns[i].coeffs.get(j, 0) if i in self.columns else 0
                  for i in range(self.domain.dim)]
                 for j in range(self.codomain.dim)]
-        return [Vector(self.domain, {i: c for i, c in enumerate(col) if c})
-                for col in kernel_vectors(rows, self.domain.dim)]
+        red, pivots = rref(rows)
+        return pivots, [Vector(self.domain, {i: c for i, c in enumerate(col) if c})
+                        for col in _kernel_from_rref(red, pivots, self.domain.dim)]
 
     def image_basis(self):
         """Deterministic (reduced echelon) basis of the image."""

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, Vector, _kernel_from_rref,
-    accumulate, canonical_tuples, coordinates_in_span, extend_to_complement,
+    GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
+    canonical_tuples, coordinates_in_span, extend_to_complement,
     independent_positions, jacobi_defects, kernel_vectors, rref, solve_dense,
 )
 
@@ -176,20 +176,17 @@ class Splitting:
 def compute_splitting(A: DgLieAlgebra) -> Splitting:
     """Deterministic splitting: lexicographically earliest choices.
 
-    One rref of the matrix of d (columns d(e_0), ..., d(e_(n-1))) gives
-    the cocycle basis and K, the e_i at its pivot columns: d is
+    One rref of the matrix of d (:meth:`core.LinearMap.pivots_and_kernel`)
+    gives the cocycle basis and K, the e_i at its pivot columns: d is
     homogeneous, so this is degree by degree the earliest basis subset
     on which d is injective.  d(K) spans the image of d, and H is the
     earliest complement of span d(K) in the echelon cocycle basis, from
     one more elimination for all degrees.
     """
     L = A.space
-    images = [A.d.apply(L.basis_vector(i)) for i in range(L.dim)]
-    red, picked = rref([[v.coeffs.get(j, 0) for v in images] for j in range(L.dim)])
-    kernel = [Vector(L, dict(enumerate(col)))
-              for col in _kernel_from_rref(red, picked, L.dim)]
+    picked, kernel = A.d.pivots_and_kernel()
     k_vectors = [L.basis_vector(i) for i in picked]
-    h_vectors = extend_to_complement(kernel, [images[i] for i in picked], L)
+    h_vectors = extend_to_complement(kernel, [A.d.apply(v) for v in k_vectors], L)
     try:
         return Splitting(A, h_vectors, k_vectors)
     except ValueError:

@@ -88,10 +88,13 @@ class MasseyTripleProduct:
 def massey_triple(A: DgLieAlgebra, s: Splitting, a, b, c):
     """Triple product of three cocycles, or None when not defined.
 
-    Requires nonzero homogeneous cocycle inputs (labels resolve through
-    the algebra's basis); a ValueError names any other.  None when an
-    inner bracket is not exact, or when the representative is not closed
-    (its two primitives kill the Jacobi defect, not every nested bracket).
+    Requires nonzero homogeneous cocycle inputs (labels are accepted and
+    resolved through the algebra's basis); a ValueError names any other.
+    Not defined -- returning None -- when either inner bracket fails to
+    be exact, or when the standard representative fails to be closed
+    (possible for arbitrary triples because the two-primitive
+    representative only kills the Jacobi defect, not every nested
+    bracket).
 
     Primitives are chosen canonically through the contracting homotopy:
     xi = -h[a,b] and eta = -h[b,c], so d(xi) = [a,b] and d(eta) = [b,c];
@@ -99,56 +102,45 @@ def massey_triple(A: DgLieAlgebra, s: Splitting, a, b, c):
     """
     inputs = []
     for v in (a, b, c):
-        v = v if isinstance(v, Vector) else A.space.basis_vector(v)
+        if not isinstance(v, Vector):
+            v = A.space.basis_vector(v)
         if len({A.space.degrees[i] for i in v.coeffs}) != 1:
             raise ValueError(f"triple-product input has no single degree: {v}")
         if not A.d.apply(v).is_zero():
             raise ValueError(f"triple-product input is not a cocycle: {v}")
         inputs.append(v)
-    n = len(s.h_vectors)
-    return _triple_product(A, s, s.h_vectors + inputs, {}, (n, n + 1, n + 2))
+    a, b, c = inputs
 
-
-def _triple_product(A, s, vectors, table, t, eager=True):
-    """The product at positions t of ``vectors``, which start with
-    ``s.h_vectors``.  ``table`` keeps pi[v_p, v_q] and -h[v_p, v_q] (None
-    unless that class is zero) per pair, bracketed once.  Not eager, a
-    zero class (it cannot certify) gives None, with no indeterminacy."""
-    def pair(p, q):
-        if (p, q) not in table:
-            value = A.bracket_of(vectors[p], vectors[q])
-            cls = s.pi.apply(value)
-            table[p, q] = cls, (s.h.apply(value).scale(-1) if cls.is_zero() else None)
-        return table[p, q]
-
-    (i, j, k), (a, b, c) = t, (vectors[x] for x in t)
-    xi, eta = pair(i, j)[1], pair(j, k)[1]
-    if xi is None or eta is None:
+    ab = A.bracket_of(a, b)
+    bc = A.bracket_of(b, c)
+    if not s.pi.apply(ab).is_zero() or not s.pi.apply(bc).is_zero():
         return None
+    xi = s.h.apply(ab).scale(-1)
+    eta = s.h.apply(bc).scale(-1)
     sign = -1 if a.degree() % 2 else 1
     representative = A.bracket_of(xi, c) - A.bracket_of(a, eta).scale(sign)
     if not A.d.apply(representative).is_zero():
         return None
-    class_vector = s.pi.apply(representative)
-    if not eager and class_vector.is_zero():
-        return None
-    degrees = [v.degree() for v in (a, b, c)]
+
     return MasseyTripleProduct(
         inputs=(a, b, c), primitives=(xi, eta),
-        representative=representative, class_vector=class_vector,
-        indeterminacy=_indeterminacy(s.h_space, *degrees,
-                                     lambda w: pair(i, w)[0],
-                                     lambda w: pair(w, k)[0]),
-        degree=sum(degrees) - 1)
+        representative=representative,
+        class_vector=s.pi.apply(representative),
+        indeterminacy=_indeterminacy(
+            s.h_space, s.h_vectors,
+            lambda u, v: s.pi.apply(A.bracket_of(u, v)), a, b, c),
+        degree=a.degree() + b.degree() + c.degree() - 1)
 
 
-def _indeterminacy(H, da, db, dc, left, right) -> list:
-    """Echelon basis in ``H`` of ``left(w)`` = [a, w] and ``right(w)`` =
-    [w, c] over the basis positions w of ``H`` whose degrees shift a
-    triple product on inputs of degrees ``da``, ``db`` and ``dc``."""
-    candidates = [f(w) for w in range(H.dim)
-                  for f, shift in ((left, db + dc - 1), (right, da + db - 1))
-                  if H.degree_of(w) == shift]
+def _indeterminacy(H, classes, bracket, a, b, c) -> list:
+    """Echelon basis in ``H`` of ``bracket(a, w)`` and ``bracket(w, c)``
+    over the ``classes`` w of the degrees that shift a triple product."""
+    candidates = []
+    for w in classes:
+        if w.degree() == b.degree() + c.degree() - 1:
+            candidates.append(bracket(a, w))
+        if w.degree() == a.degree() + b.degree() - 1:
+            candidates.append(bracket(w, c))
     return echelon_vectors([v for v in candidates if not v.is_zero()], H)
 
 
@@ -189,9 +181,9 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
     a splitting that a later triple would have rejected.
 
     A triple whose class degree |a| + |b| + |c| - 1 is not a degree of H
-    has class zero (all maps are homogeneous), so skipping it before any
-    bracket keeps the first certificate; each pair is bracketed once, when
-    a triple first needs it; the indeterminacy waits for a nonzero class.
+    is skipped before any bracket: bracket, d, pi and h are homogeneous,
+    so its class pi(rep) is zero and it cannot certify, and the first
+    certificate is the one the full scan finds.
     """
     reps = s.h_vectors
     for v in reps:
@@ -205,11 +197,9 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
         itertools.combinations_with_replacement(indices, 3),
         itertools.product(indices, repeat=3))
         if sum(degrees[i] for i in t) - 1 in present)
-    table = {}
     for t in candidates:
-        product = _triple_product(A, s, reps, table, t, eager=False)
+        product = massey_triple(A, s, reps[t[0]], reps[t[1]], reps[t[2]])
         if product is not None and product.nonzero_mod_indeterminacy():
-            product = massey_triple(A, s, *(reps[i] for i in t))
             return NonFormalityCertificate(
                 kind="massey-triple",
                 triple=tuple(repr(reps[i]) for i in t),
@@ -231,10 +221,9 @@ def ternary_bracket_certificate(T: TransferResult, a, b, c):
                for v in (a, b, c)]
     value = T.minimal.operation(3).evaluate(classes)
     bracket2 = T.minimal.operation(2)
-    a, c, e = classes[0], classes[2], H.basis_vector
-    indeterminacy = _indeterminacy(H, *(v.degree() for v in classes),
-                                   lambda w: bracket2.evaluate([a, e(w)]),
-                                   lambda w: bracket2.evaluate([e(w), c]))
+    indeterminacy = _indeterminacy(
+        H, [H.basis_vector(i) for i in range(H.dim)],
+        lambda u, v: bracket2.evaluate([u, v]), *classes)
     if value.is_zero() or coordinates_in_span(indeterminacy, value) is not None:
         return None
     return NonFormalityCertificate(
