@@ -14,7 +14,7 @@ a formal instance and shows how a non-formal one is turned away.
 
 from gradedlie import (
     build_formality_witness, compute_splitting, formality_verdict,
-    normalize_splitting, verify_witness,
+    normalize_splitting, validate_pairing, verify_witness,
 )
 from gradedlie.corpus import standard_corpus
 
@@ -25,17 +25,21 @@ corpus = dict(standard_corpus())
 # ---------------------------------------------------------------------------
 Q = corpus["weighted-pair"]
 
-# Step 1: normalize.  The splitting is re-fitted so that it is invariant
-# under the degree-0 classes and the complement is pairing-orthogonal to
-# the representatives; both properties are verified, not assumed.
-normalized = normalize_splitting(Q, compute_splitting(Q.algebra))
-Qn, sn = normalized.quasi, normalized.splitting
+# Step 1: check the hypotheses, once.  The pairing must be quasi-cyclic;
+# the normalization checks that the splitting is invariant under its
+# degree-0 representatives and re-fits the complement to be
+# pairing-orthogonal to the representatives, verifying the result.
+s = compute_splitting(Q.algebra)
+pairing = validate_pairing(Q, s)
+normalized = normalize_splitting(Q, s)
+sn = normalized.splitting
 
-# Step 2: build the witness up to arity 6.  The builder re-proves its
-# input hypotheses, checks every structural vanishing statement it
-# relies on, and solves one linear system per tuple of degree-1 classes
-# -- each with a unique solution, or it refuses.
-witness = build_formality_witness(Qn, sn, 6)
+# Step 2: build the witness up to arity 6 on that evidence.  The builder
+# takes the pairing report and the normalization instead of re-checking
+# them, checks every structural vanishing statement it relies on, and
+# solves one linear system per tuple of degree-1 classes -- each with a
+# unique solution, or it refuses.
+witness = build_formality_witness(normalized, pairing, 6)
 print("witness verified up to arity:", witness.verified_up_to)
 print("\nnon-identity coefficients:")
 for arity, table in sorted(witness.taylor.items()):

@@ -28,9 +28,8 @@ from .cyclic import (
     from_symplectic_representation, normalize_splitting, validate_pairing,
 )
 from .linfty import (
-    LInftyAlgebra, LInftyMorphismToDgla, TransferResult,
-    alternate_sign_convention, check_linfty_axioms, check_morphism,
-    homotopy_transfer, transferred_bracket_on_classes,
+    LInftyAlgebra, LInftyMorphismToDgla, TransferResult, check_linfty_axioms,
+    check_morphism, homotopy_transfer,
 )
 from .formality import (
     FormalityVerdict, FormalityWitness, MasseyTripleProduct,

@@ -26,8 +26,8 @@ from .dgla import (
 __all__ = [
     "CyclicPairing", "QuasiCyclicDgla", "PairingReport", "validate_pairing",
     "SymplecticRepresentation", "from_symplectic_representation",
-    "maurer_cartan_functional", "NormalizationError", "NormalizedSplitting",
-    "precondition_violations", "normalize_splitting",
+    "NormalizationError", "NormalizedSplitting", "precondition_violations",
+    "normalize_splitting",
 ]
 
 class CyclicPairing:
@@ -388,15 +388,6 @@ def from_symplectic_representation(R: SymplecticRepresentation) -> QuasiCyclicDg
     return QuasiCyclicDgla(algebra, pairing)
 
 
-def maurer_cartan_functional(Q, v: Vector) -> Vector:
-    """Half the self-bracket of a degree-1 vector (the moment map on
-    symplectic-representation instances)."""
-    A = Q.algebra if isinstance(Q, QuasiCyclicDgla) else Q
-    if not v.is_zero() and v.degree() != 1:
-        raise ValueError(f"expected a degree-1 vector, got degree {v.degree()}")
-    return A.bracket.evaluate([v, v]).scale(Scalar(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # Orthogonal normalization of splittings
 # ---------------------------------------------------------------------------
@@ -438,11 +429,12 @@ def precondition_violations(A: DgLieAlgebra, s: Splitting, h0) -> list:
     return out
 
 
-def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> NormalizedSplitting:
+def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting:
     """Replace K by the complement orthogonal to the representatives.
 
     Preconditions (:func:`precondition_violations`, raised with their
-    witnesses): no representatives in negative degree; the degree-0
+    witnesses), checked against the splitting's own degree-0
+    representatives: no representatives in negative degree; the degree-0
     representatives close under the bracket; H and K are stable under
     their adjoint action in positive degrees.  When the ambient algebra
     has negative-degree elements it is first cut down to the
@@ -451,11 +443,15 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting, h0_vectors=None) -> No
     C^i = {x in H^i + K^i : (x, H^{n-i}) = 0}; the exchange is an
     isomorphism exactly when the representative pairing is perfect, and
     failure is reported as such.
+
+    A returned splitting therefore satisfies every hypothesis that
+    ``formality.build_formality_witness`` relies on and does not check
+    again: invariance under all of its degree-0 representatives, the
+    orthogonal complement, and no cohomology in negative degree.
     """
     A, form = Q.algebra, Q.pairing
     n = form.degree
-    h0 = list(h0_vectors) if h0_vectors is not None else [
-        v for v in s.h_vectors if v.degree() == 0]
+    h0 = [v for v in s.h_vectors if v.degree() == 0]
 
     pre = precondition_violations(A, s, h0)
     if pre:

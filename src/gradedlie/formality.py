@@ -7,7 +7,10 @@ algebras with pairing degree at most 2 whose splitting is invariant under
 the degree-0 classes and orthogonally normalized, a recursion over pairing
 functionals produces the Taylor coefficients of an explicit structure
 isomorphism onto the cohomology graded Lie algebra -- a checkable
-formality witness.
+formality witness.  Those hypotheses are checked once, by
+:func:`formality_verdict` through ``validate_pairing`` and
+``normalize_splitting``; the witness builder takes that evidence and does
+not check it again.
 
 Every structural identity the recursion relies on is asserted exhaustively
 on basis tuples; under verified hypotheses those identities are theorems,
@@ -29,12 +32,12 @@ from .core import (
     kernel_vectors, repeat_pattern, shuffle_splits, solve_dense,
 )
 from .dgla import (
-    DgLieAlgebra, EquivariantObstruction, Splitting, Violation,
+    DgLieAlgebra, EquivariantObstruction, Splitting,
     find_equivariant_splitting,
 )
 from .cyclic import (
-    NormalizationError, PairingReport, QuasiCyclicDgla, normalize_splitting,
-    precondition_violations, validate_pairing,
+    NormalizationError, NormalizedSplitting, PairingReport, QuasiCyclicDgla,
+    normalize_splitting, validate_pairing,
 )
 from .linfty import (
     LInftyMorphismToDgla, TransferResult, check_morphism, homotopy_transfer,
@@ -368,18 +371,6 @@ class WitnessRejected(Exception):
         self.obstruction = obstruction
 
 
-def _hypothesis_violations(Q: QuasiCyclicDgla, s: Splitting, h0):
-    """The normalization preconditions plus orthogonality, as violations."""
-    out = precondition_violations(Q.algebra, s, h0)
-    for h in s.h_vectors:
-        for k in s.k_vectors:
-            val = Q.pairing.evaluate(h, k)
-            if val:
-                out.append(Violation("orthogonality_H_K", (repr(h), repr(k)),
-                                     f"({h}, {k}) = {val}"))
-    return out
-
-
 def _scope_rejection(Q: QuasiCyclicDgla, N: int):
     """The rejection of a pairing degree above 2, or None; N < 2 raises."""
     if N < 2:
@@ -391,64 +382,35 @@ def _scope_rejection(Q: QuasiCyclicDgla, N: int):
         f"algebras, so no witness is attempted")
 
 
-def build_formality_witness(Q: QuasiCyclicDgla, s: Splitting,
+def build_formality_witness(normalized: NormalizedSplitting,
+                            pairing: PairingReport,
                             N: int) -> FormalityWitness:
     """Construct and fully check a formality witness up to arity N.
 
-    The splitting must already be invariant under the degree-0 classes
-    and orthogonally normalized; all hypotheses are re-verified here.
-    Raises WitnessRejected when the instance genuinely fails them (with
-    the obstruction certificate when no invariant splitting exists at
-    all), ValueError when the instance looks fixable but the caller
-    skipped the equivariant search or the normalization, and
-    AssertionError when one of the structural identities the recursion
-    relies on fails: the hypotheses were verified clean on entry, so
+    Takes the evidence the hypotheses were checked with instead of
+    checking them again: ``normalized`` is the result of
+    :func:`normalize_splitting`, whose splitting is therefore invariant
+    under its own degree-0 representatives, orthogonally normalized, and
+    free of negative-degree cohomology; ``pairing`` is the
+    :func:`validate_pairing` report of the pairing on the algebra and
+    splitting that were normalized.  Only the cheap gates
+    run here: N < 2 raises ValueError, and a pairing degree above 2 or a
+    report that is not quasi-cyclic raises WitnessRejected.  An
+    AssertionError means one of the structural identities the recursion
+    relies on failed: under the verified hypotheses they are theorems, so
     that failure is an implementation bug, and the message says so.
     """
+    Q, s = normalized.quasi, normalized.splitting
     rejection = _scope_rejection(Q, N)
     if rejection is not None:
         raise rejection
-    A = Q.algebra
-    n = Q.pairing.degree
-
-    pairing_report = validate_pairing(Q, s)
-    if not pairing_report.is_quasi_cyclic:
+    if not pairing.is_quasi_cyclic:
         raise WitnessRejected(
-            f"the pairing is not quasi-cyclic ({pairing_report.status()})",
-            violations=pairing_report.violations)
-
-    H = s.h_space
-    h0 = [s.h_vectors[i] for i in H.indices_of_degree(0)]
-    problems = _hypothesis_violations(Q, s, h0)
-    if problems:
-        kinds = {v.identity for v in problems}
-        if "H_nonnegative" in kinds:
-            raise WitnessRejected(
-                "cohomology in negative degree", violations=problems)
-        if "H0_closed" in kinds:
-            raise WitnessRejected(
-                "the degree-0 representatives do not close under the "
-                "bracket; the construction needs a strict Lie subalgebra "
-                "of cocycles representing the degree-0 classes",
-                violations=problems)
-        if any(k.startswith("invariance") for k in kinds):
-            found = find_equivariant_splitting(A, h0)
-            if isinstance(found, EquivariantObstruction):
-                raise WitnessRejected(
-                    "hypotheses fail intrinsically: no splitting invariant "
-                    "under the degree-0 classes exists -- "
-                    + found.describe(),
-                    violations=problems, obstruction=found)
-            raise ValueError(
-                "the given splitting is not invariant under the degree-0 "
-                "classes, but an invariant one exists; run the equivariant "
-                "search and the orthogonal normalization first")
-        raise ValueError(
-            "the splitting is not orthogonally normalized (a representative "
-            "pairs nonzero against the complement); run the normalization "
-            "first: " + "; ".join(v.detail for v in problems[:3]))
-
-    report = [f"hypotheses re-verified: {pairing_report.status()}, "
+            f"the pairing is not quasi-cyclic ({pairing.status()})",
+            violations=pairing.violations)
+    A, H = Q.algebra, s.h_space
+    n = Q.pairing.degree
+    report = [f"hypotheses re-verified: {pairing.status()}, "
               f"degree-0 closure, invariance, orthogonality"]
     T = homotopy_transfer(A, s, N)
     try:
@@ -750,9 +712,12 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
 
     In order: N < 2 raises ValueError before anything runs; the pairing
     check on ``s``; a pairing degree above 2 is out of scope; the
-    normalization of ``s`` with the degree-0 classes ``h0``, through the
-    equivariant search when ``s`` is not invariant under them; the
-    witness; its independent check.  A rejection at any step is a
+    normalization of ``s``, which checks it against its own degree-0
+    representatives; when ``s`` is not invariant under them, the
+    equivariant search under the degree-0 classes ``h0`` and the
+    normalization of what it finds; the witness, built on that pairing
+    report and normalization without checking them again; its
+    independent check.  A rejection at any step is a
     :class:`WitnessRejected`, followed by the certificate scan on ``s``.
     """
     out_of_scope = _scope_rejection(Q, N)
@@ -771,7 +736,7 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
     if out_of_scope is not None:
         return rejected(out_of_scope)
     try:
-        normalized = normalize_splitting(Q, s, h0)
+        normalized = normalize_splitting(Q, s)
     except NormalizationError as error:
         if not any(v.identity.startswith("invariance")
                    for v in error.violations):
@@ -784,15 +749,11 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
         notes.append("the given splitting is not invariant; the equivariant "
                      "search found one, normalizing it")
         try:
-            normalized = normalize_splitting(Q, found, h0)
+            normalized = normalize_splitting(Q, found)
         except NormalizationError as second:
             return rejected(WitnessRejected(str(second), second.violations))
     notes.extend(f"normalization: {line}" for line in normalized.notes)
-    try:
-        witness = build_formality_witness(normalized.quasi,
-                                          normalized.splitting, N)
-    except WitnessRejected as rejection:
-        return rejected(rejection)
+    witness = build_formality_witness(normalized, pairing, N)
     T = witness.transfer
     leftovers = verify_witness(witness, T, T.minimal.operation(2))
     status = "FAIL" if leftovers else f"FORMAL-UP-TO-{N}"

@@ -47,8 +47,7 @@ from .dgla import DgLieAlgebra, Splitting, Violation, cohomology, verify_splitti
 __all__ = [
     "LInftyAlgebra", "check_linfty_axioms",
     "LInftyMorphismToDgla", "check_morphism",
-    "TransferResult", "homotopy_transfer", "transferred_bracket_on_classes",
-    "alternate_sign_convention",
+    "TransferResult", "homotopy_transfer",
 ]
 
 # ---------------------------------------------------------------------------
@@ -320,47 +319,3 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
             f"internal error: inclusion fails its morphism relations: {names}")
     return TransferResult(A, s, minimal, inclusion, N)
 
-
-def transferred_bracket_on_classes(T: TransferResult, classes) -> Vector:
-    """Evaluate the transferred bracket of the given arity on classes.
-
-    Classes may be vectors of the representative space or basis labels.
-    The arity must lie within the computed range of the transfer.
-    """
-    H = T.minimal.space
-    vectors = []
-    for c in classes:
-        if isinstance(c, Vector):
-            if c.space != H:
-                raise ValueError("class lies outside the representative space")
-            vectors.append(c)
-        else:
-            vectors.append(H.basis_vector(c))
-    n = len(vectors)
-    if not 1 <= n <= T.arity_bound:
-        raise ValueError(
-            f"arity {n} out of the computed range 1..{T.arity_bound}")
-    if n == 1:
-        return H.zero()
-    return T.minimal.operation(n).evaluate(vectors)
-
-
-# ---------------------------------------------------------------------------
-# Sign-convention conversion
-# ---------------------------------------------------------------------------
-
-def alternate_sign_convention(L: LInftyAlgebra) -> LInftyAlgebra:
-    """Rescale the arity-k bracket by (-1)^(k(k-1)/2) for every k.
-
-    This is the involution translating between the two common sign
-    conventions for the generalized Jacobi identities; applying it twice
-    gives back the original structure.
-    """
-    converted = {}
-    for k, op in L.brackets.items():
-        sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        new_op = MultilinearMap(L.space, L.space, k, op.degree)
-        for key, value in op.entries():
-            new_op.set_entry(key, value.scale(sign))
-        converted[k] = new_op
-    return LInftyAlgebra(L.space, converted, L.arity_bound)

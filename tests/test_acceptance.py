@@ -244,11 +244,13 @@ def test_criterion_09_witness_pipeline_on_the_eligible_corpus():
     for name, Q in standard_corpus():
         if Q.pairing.degree > 2 or name == "nocontraction":
             continue  # out of scope / fails the invariance hypothesis
-        normalized = normalize_splitting(Q, compute_splitting(Q.algebra))
+        s = compute_splitting(Q.algebra)
+        normalized = normalize_splitting(Q, s)
         Qn, sn = normalized.quasi, normalized.splitting
         # the builder runs the whole lemma battery as hard assertions,
         # exhaustively over basis tuples, before and during the solves
-        witness = build_formality_witness(Qn, sn, 5)
+        witness = build_formality_witness(normalized, validate_pairing(Q, s),
+                                          5)
         if witness.verified_up_to != 5:
             failures.append(f"{name}: witness stops at "
                             f"{witness.verified_up_to}")
@@ -287,11 +289,9 @@ def _guarded_pipeline(Q) -> str:
         return f"normalization:{name}"
     Qn, sn = normalized.quasi, normalized.splitting
     try:
-        witness = build_formality_witness(Qn, sn, 4)
+        witness = build_formality_witness(normalized, report, 4)
     except WitnessRejected:
         return "witness-rejected"
-    except ValueError:
-        return "witness-precondition"
     except AssertionError:
         return "lemma-battery"
     T = homotopy_transfer(Qn.algebra, sn, 4)

@@ -100,6 +100,21 @@ def test_formality_nonformal_exits_one(corpus_files, capsys):
     assert "2*z" in out
 
 
+def test_formality_without_degree_zero_classes_checks_its_own(
+        corpus_files, tmp_path, capsys):
+    # an empty h0 line only seeds the equivariant search; the splitting is
+    # still checked against its own degree-0 representative a, and fails
+    text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
+    assert text.endswith("\nh0 a\n")
+    bare = tmp_path / "bare-h0.alg"
+    bare.write_text(text[:-len("h0 a\n")] + "h0\n", encoding="utf-8")
+    code, out, err = run(capsys, "formality", str(bare))
+    assert code == 1 and err == ""
+    assert "formality: NON-FORMAL" in out
+    assert "violation invariance_H at (a, x)" in out
+    assert "massey-triple certificate on (x, x, x)" in out
+
+
 def test_formality_witness_on_weighted_pair(corpus_files, capsys):
     code, out, _ = run(capsys, "formality", corpus_files["weighted-pair"])
     assert code == 0

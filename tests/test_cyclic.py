@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from gradedlie.core import coordinates_in_span
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
-    SymplecticRepresentation, from_symplectic_representation, maurer_cartan_functional,
+    SymplecticRepresentation, from_symplectic_representation,
     _cyclicity_violations, normalize_splitting, validate_pairing,
 )
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
+from gradedlie.formality import build_formality_witness, verify_witness
 from gradedlie.corpus import (
     abelian_base, diagonal_symplectic, nocontraction, noformal_degree3,
     perturb_quasi_cyclic, random_symplectic, standard_corpus, tensor_cell,
@@ -234,15 +235,6 @@ def test_a_label_naming_no_or_two_basis_vectors_is_rejected(
                                  [[0, 1], [-1, 0]])
 
 
-def test_quadratic_functional_on_the_diagonal_instance():
-    Q = from_symplectic_representation(diagonal_symplectic())
-    V = Q.space
-    v = V.vector({"v1": 2, "v2": 3})
-    assert maurer_cartan_functional(Q, v) == V.vector({"g^": 6})
-    with pytest.raises(ValueError, match="degree"):
-        maurer_cartan_functional(Q, V.basis_vector("g"))
-
-
 def test_preserving_actions_give_cyclic_instances_and_violations_surface():
     rng = random.Random(11)
     for _ in range(6):
@@ -321,15 +313,16 @@ def test_negative_degree_representatives_violate_the_preconditions():
 
 
 def test_unclosed_degree_zero_family_violates_the_preconditions():
-    A = build_algebra([("g1", 0), ("g2", 0), ("g3", 0)], {},
-                      {("g1", "g2"): {"g3": 1}})
-    form = CyclicPairing(A.space, 0, [(("g1", "g1"), 1), (("g2", "g2"), 1),
-                                      (("g3", "g3"), 1)])
+    # [g1, g2] = dq is a coboundary, so it escapes the span of the
+    # degree-0 representatives g1, g2
+    A = build_algebra([("q", -1), ("g1", 0), ("g2", 0), ("dq", 0)],
+                      {"q": {"dq": 1}}, {("g1", "g2"): {"dq": 1}})
+    assert validate_dgla(A) == []
+    form = CyclicPairing(A.space, 0, [(("g1", "g1"), 1), (("g2", "g2"), 1)])
     s = compute_splitting(A)
+    assert [repr(v) for v in s.h_vectors] == ["g1", "g2"]
     with pytest.raises(NormalizationError) as exc:
-        normalize_splitting(QuasiCyclicDgla(A, form), s,
-                            h0_vectors=[A.space.basis_vector("g1"),
-                                        A.space.basis_vector("g2")])
+        normalize_splitting(QuasiCyclicDgla(A, form), s)
     assert any(v.identity == "H0_closed" for v in exc.value.violations)
 
 
@@ -348,12 +341,21 @@ def test_negative_degrees_trigger_restriction_to_a_subalgebra():
     A = build_algebra([("q", -1), ("dq", 0), ("e1", 1), ("f1", 1)],
                       {"q": {"dq": 1}}, {})
     form = CyclicPairing(A.space, 2, [(("e1", "f1"), 1)])
-    res = normalize_splitting(QuasiCyclicDgla(A, form), compute_splitting(A))
+    Q, s = QuasiCyclicDgla(A, form), compute_splitting(A)
+    res = normalize_splitting(Q, s)
     assert res.restricted is True
     assert res.quasi.space.dim == 2
     assert sorted(res.quasi.space.labels) == ["e1", "f1"]
     assert res.splitting.k_vectors == []
     assert res.notes and "restricted" in res.notes[0]
+    # the witness is built on the restriction, with the report of the
+    # pairing on the whole algebra (degenerate there, so quasi-cyclic)
+    witness = build_formality_witness(res, validate_pairing(Q, s), 4)
+    assert witness.report[0].startswith(
+        "hypotheses re-verified: quasi-cyclic of degree 2")
+    T = witness.transfer
+    assert T.algebra is res.quasi.algebra
+    assert verify_witness(witness, T, T.minimal.operation(2)) == []
 
 
 # --- single-constant perturbations ---------------------------------------------------

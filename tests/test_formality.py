@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gradedlie.core import MultilinearMap, coordinates_in_span
-from gradedlie.cyclic import CyclicPairing, QuasiCyclicDgla
+from gradedlie.cyclic import CyclicPairing, QuasiCyclicDgla, validate_pairing
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
 from gradedlie.linfty import homotopy_transfer
 import gradedlie.formality as formality
@@ -34,6 +34,13 @@ from oracles import (
 
 def canonical(Q):
     return Q.algebra, compute_splitting(Q.algebra)
+
+
+def prepared(Q, s=None):
+    """What formality_verdict hands the witness builder: the normalization
+    of ``s`` (the canonical splitting by default) and its pairing report."""
+    s = s if s is not None else compute_splitting(Q.algebra)
+    return normalize_splitting(Q, s), validate_pairing(Q, s)
 
 
 # --- triple products ------------------------------------------------------------
@@ -250,8 +257,9 @@ def test_boundary_assertion_fires_without_the_normalization():
 
 def test_witness_on_the_weighted_pair():
     Q = weighted_pair()
-    A, s = canonical(Q)
-    witness = build_formality_witness(Q, s, 5)
+    normalized, pairing = prepared(Q)
+    A, s = normalized.quasi.algebra, normalized.splitting
+    witness = build_formality_witness(normalized, pairing, 5)
     assert witness.verified_up_to == 5
     assert set(witness.taylor) <= {1, 3, 5}
     f3 = witness.taylor[3]
@@ -267,8 +275,9 @@ def test_witness_on_the_weighted_pair():
 
 def test_witness_carries_the_transfer_it_was_built_on():
     Q = weighted_pair()
-    A, s = canonical(Q)
-    witness = build_formality_witness(Q, s, 5)
+    normalized, pairing = prepared(Q)
+    A, s = normalized.quasi.algebra, normalized.splitting
+    witness = build_formality_witness(normalized, pairing, 5)
     T = witness.transfer
     assert T.arity_bound == 5 and T.splitting is s
     fresh = homotopy_transfer(A, s, 5)
@@ -278,10 +287,9 @@ def test_witness_carries_the_transfer_it_was_built_on():
 
 
 def test_witness_taylor_starts_with_the_identity():
-    Q = weighted_pair()
-    A, s = canonical(Q)
-    witness = build_formality_witness(Q, s, 3)
-    H = s.h_space
+    normalized, pairing = prepared(weighted_pair())
+    witness = build_formality_witness(normalized, pairing, 3)
+    H = normalized.splitting.h_space
     for i in range(H.dim):
         assert witness.taylor[1].evaluate_indices((i,)) == H.basis_vector(i)
     assert 2 not in witness.taylor
@@ -292,60 +300,36 @@ def test_witness_on_every_hypothesis_satisfying_instance():
     for name, Q in standard_corpus():
         if name in rejected:
             continue
-        normalized = normalize_splitting(Q, compute_splitting(Q.algebra))
+        normalized, pairing = prepared(Q)
         Qn, sn = normalized.quasi, normalized.splitting
-        witness = build_formality_witness(Qn, sn, 5)
+        witness = build_formality_witness(normalized, pairing, 5)
         T = homotopy_transfer(Qn.algebra, sn, 5)
         assert verify_witness(witness, T, T.minimal.operation(2)) == [], name
 
 
 def test_witness_is_the_identity_when_no_corrections_survive():
     for Q in (abelian_base(), tensor_cell(abelian_base())):
-        A, s = canonical(Q)
-        witness = build_formality_witness(Q, s, 4)
+        witness = build_formality_witness(*prepared(Q), 4)
         assert set(witness.taylor) == {1}
 
 
-def test_witness_rejected_on_the_noninvariant_instance():
-    Q = nocontraction()
-    A, s = canonical(Q)
-    with pytest.raises(WitnessRejected) as info:
-        build_formality_witness(Q, s, 4)
-    assert "no splitting invariant" in info.value.message
-    assert info.value.obstruction is not None
-    assert "x" in info.value.obstruction.describe()
-    assert info.value.violations
-
-
 def test_witness_refuses_higher_pairing_degrees():
-    Q = noformal_degree3()
-    A, s = canonical(Q)
     with pytest.raises(WitnessRejected, match="out of scope"):
-        build_formality_witness(Q, s, 4)
+        build_formality_witness(*prepared(noformal_degree3()), 4)
 
 
-def test_witness_demands_normalization_when_one_exists():
-    rng = random.Random(3)
-    Q = random_quasi_cyclic_two_step(rng)
-    s = compute_splitting(Q.algebra)
-    with pytest.raises(ValueError, match="run the normalization first"):
-        build_formality_witness(Q, s, 3)
-
-
-def test_witness_demands_the_invariant_splitting_when_one_exists():
-    Q = weighted_pair()
-    A, s = canonical(Q)
-    tilted = Splitting(A, s.h_vectors,
-                       [s.k_vectors[0] + A.basis_vector("x1"), s.k_vectors[1]])
-    with pytest.raises(ValueError, match="equivariant search"):
-        build_formality_witness(Q, tilted, 3)
+def test_witness_refuses_a_pairing_report_that_is_not_quasi_cyclic():
+    normalized, pairing = prepared(weighted_pair())
+    pairing.nondegenerate_on_H = False
+    with pytest.raises(WitnessRejected) as info:
+        build_formality_witness(normalized, pairing, 3)
+    assert info.value.message == ("the pairing is not quasi-cyclic "
+                                  "(not quasi-cyclic)")
 
 
 def test_witness_arity_bound_validation():
-    Q = weighted_pair()
-    A, s = canonical(Q)
     with pytest.raises(ValueError, match="N >= 2"):
-        build_formality_witness(Q, s, 1)
+        build_formality_witness(*prepared(weighted_pair()), 1)
 
 
 def test_trivial_witness_in_low_pairing_degrees():
@@ -354,11 +338,11 @@ def test_trivial_witness_in_low_pairing_degrees():
     line = build_algebra([("e0", 0), ("e1", 1)], {}, {})
     Q1 = QuasiCyclicDgla(line, CyclicPairing(line.space, 1, [(("e0", "e1"), 1)]))
     for Q in (Q0, Q1):
-        s = compute_splitting(Q.algebra)
-        witness = build_formality_witness(Q, s, 4)
+        normalized, pairing = prepared(Q)
+        witness = build_formality_witness(normalized, pairing, 4)
         assert set(witness.taylor) == {1}
         assert any("identity witness" in line for line in witness.report)
-        T = homotopy_transfer(Q.algebra, s, 4)
+        T = homotopy_transfer(Q.algebra, normalized.splitting, 4)
         assert verify_witness(witness, T, T.minimal.operation(2)) == []
 
 
@@ -366,9 +350,9 @@ def test_corrupted_coefficients_fail_the_independent_verifier():
     # doubling the cubic coefficient breaks the relation that balances
     # it against the quartic bracket (the relation pins the sum of its
     # entries, so both must move together to leave the valid set)
-    Q = weighted_pair()
-    A, s = canonical(Q)
-    witness = build_formality_witness(Q, s, 4)
+    normalized, pairing = prepared(weighted_pair())
+    A, s = normalized.quasi.algebra, normalized.splitting
+    witness = build_formality_witness(normalized, pairing, 4)
     H = s.h_space
     bad_f3 = MultilinearMap(H, H, 3, -2)
     for key, value in witness.taylor[3].entries():
@@ -390,7 +374,7 @@ def test_lemma_failure_is_reported_as_an_implementation_bug(monkeypatch):
 
     monkeypatch.setattr(formality, "compute_I", hollow)
     with pytest.raises(AssertionError, match="implementation bug"):
-        build_formality_witness(Q, s, 4)
+        build_formality_witness(*prepared(Q, s), 4)
 
 
 def test_pairing_functionals_return_int_or_non_integral_fraction():
@@ -529,7 +513,7 @@ def _symplectic_plane():
 
 def _witness_failure(Q, s, N):
     with pytest.raises(AssertionError) as info:
-        build_formality_witness(Q, s, N)
+        build_formality_witness(*prepared(Q, s), N)
     message = str(info.value)
     suffix = (" -- hypotheses re-verified clean: this is an implementation "
               "bug, not an input problem")
@@ -616,7 +600,7 @@ def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
         return original(T, pairing, p, j)
     monkeypatch.setattr(formality, "compute_I", counted)
     N = 6
-    build_formality_witness(Q, s, N)
+    build_formality_witness(*prepared(Q, s), N)
     assert sorted(calls) == [(q, j) for q in range(2, N + 2)
                              for j in range(1, q) if max(j, q - j) <= N]
 
@@ -686,8 +670,24 @@ def test_verdict_carries_the_obstruction_and_the_certificate():
     assert rejection.message == ("no splitting invariant under the degree-0 "
                                  "classes exists")
     assert rejection.obstruction is not None and rejection.violations
+    assert "x" in rejection.obstruction.describe()
     assert verdict.certificate.triple == ("x", "x", "x")
     assert verdict.witness is None
+
+
+def test_verdict_normalizes_a_splitting_that_is_not_orthogonal(monkeypatch):
+    # the canonical complement pairs nonzero against the representatives
+    Q = random_quasi_cyclic_two_step(random.Random(3))
+    A, s = canonical(Q)
+    assert any(Q.pairing.evaluate(h, k)
+               for h in s.h_vectors for k in s.k_vectors)
+    calls = normalizations(monkeypatch)
+    verdict = formality_verdict(Q, s, degree_zero(s), 3)
+    assert verdict.status == "FORMAL-UP-TO-3"
+    assert len(calls) == 1 and verdict.notes == []
+    sn = verdict.witness.transfer.splitting
+    assert not any(Q.pairing.evaluate(h, k)
+                   for h in sn.h_vectors for k in sn.k_vectors)
 
 
 def test_verdict_builds_and_checks_the_witness():
@@ -699,6 +699,33 @@ def test_verdict_builds_and_checks_the_witness():
     assert verdict.witness.verified_up_to == 4
     assert verdict.leftovers == []
     assert verdict.rejection is None and verdict.certificate is None
+
+
+def test_verdict_checks_each_hypothesis_once(monkeypatch):
+    # one pairing check, and one precondition scan per normalization:
+    # the witness builder takes both results instead of re-checking
+    import gradedlie.cyclic as cyclic
+    Q = weighted_pair()
+    A, s = canonical(Q)
+    pairings, scans = [], []
+    validate, scan = formality.validate_pairing, cyclic.precondition_violations
+
+    def counted_validate(*args):
+        pairings.append(args)
+        return validate(*args)
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+    monkeypatch.setattr(formality, "validate_pairing", counted_validate)
+    for module in (cyclic, formality):
+        if hasattr(module, "precondition_violations"):
+            monkeypatch.setattr(module, "precondition_violations", counted_scan)
+    calls = normalizations(monkeypatch)
+    verdict = formality_verdict(Q, s, degree_zero(s), 4)
+    assert verdict.status == "FORMAL-UP-TO-4"
+    assert len(pairings) == 1
+    assert len(calls) == 1 and len(scans) == len(calls)
 
 
 def test_verdict_refuses_an_arity_bound_below_two_first(monkeypatch):

@@ -9,9 +9,8 @@ from gradedlie.core import GradedVectorSpace, MultilinearMap, canonical_tuples
 from gradedlie import core, linfty
 from gradedlie.dgla import Splitting, cohomology, compute_splitting
 from gradedlie.linfty import (
-    LInftyAlgebra, LInftyMorphismToDgla, alternate_sign_convention,
-    check_linfty_axioms, check_morphism, homotopy_transfer,
-    transferred_bracket_on_classes,
+    LInftyAlgebra, LInftyMorphismToDgla, check_linfty_axioms, check_morphism,
+    homotopy_transfer,
 )
 from gradedlie.corpus import (
     abelian_base, nocontraction, random_quasi_cyclic_two_step,
@@ -157,7 +156,8 @@ def test_transfer_on_the_degree_two_instance():
     H = T.minimal.space
     xx = T.inclusion.component(2).evaluate_indices((H.index("x"), H.index("x")))
     assert repr(xx) == "-p"
-    assert repr(transferred_bracket_on_classes(T, ["x", "x", "x"])) == "-3*z"
+    assert repr(T.minimal.operation(3).evaluate_indices((H.index("x"),) * 3)) \
+        == "-3*z"
     assert T.minimal.is_minimal
     assert check_linfty_axioms(T.minimal, 4) == []
 
@@ -170,12 +170,14 @@ def test_transfer_on_the_weighted_pair():
     assert repr(i2.evaluate_indices((H.index("x1"), H.index("x1")))) == "-u1"
     assert repr(i2.evaluate_indices((H.index("x2"), H.index("x2")))) == "-u2"
     assert i2.evaluate_indices((H.index("x1"), H.index("x2"))).is_zero()
-    assert repr(transferred_bracket_on_classes(T, ["g", "x1"])) == "x1"
-    assert repr(transferred_bracket_on_classes(T, ["x1", "x2"])) == "w"
+    g, x1, x2 = H.index("g"), H.index("x1"), H.index("x2")
+    assert repr(T.minimal.operation(2).evaluate_indices((g, x1))) == "x1"
+    assert repr(T.minimal.operation(2).evaluate_indices((x1, x2))) == "w"
     assert T.inclusion.component(3).is_zero()
     assert T.minimal.operation(3).is_zero()
     # the first genuinely higher operation appears at arity 4
-    assert repr(transferred_bracket_on_classes(T, ["x1", "x1", "x2", "x2"])) == "2*w"
+    assert repr(T.minimal.operation(4).evaluate_indices((x1, x1, x2, x2))) \
+        == "2*w"
 
 
 def test_transfer_on_an_abelian_algebra_is_trivial():
@@ -277,7 +279,8 @@ def test_ternary_class_is_independent_of_the_splitting_choice():
     tilted = Splitting(A, reps, [V.basis_vector("b"),
                                  V.basis_vector("p") + V.basis_vector("x")])
     T = homotopy_transfer(A, tilted, 3)
-    assert repr(transferred_bracket_on_classes(T, ["x", "x", "x"])) == "-3*z"
+    x = T.minimal.space.index("x")
+    assert repr(T.minimal.operation(3).evaluate_indices((x, x, x))) == "-3*z"
 
 
 # --- entry points and errors ----------------------------------------------------
@@ -338,52 +341,3 @@ def test_transfer_rejects_bad_inputs():
                        [V.basis_vector("b"), V.basis_vector("p")])
     with pytest.raises(ValueError, match="splitting fails verification"):
         homotopy_transfer(A, broken, 3)
-
-
-def test_bracket_on_classes_checks_arity_and_space():
-    A = nocontraction().algebra
-    T = homotopy_transfer(A, compute_splitting(A), 3)
-    assert transferred_bracket_on_classes(T, ["x"]).is_zero()
-    with pytest.raises(ValueError, match="out of the computed range"):
-        transferred_bracket_on_classes(T, ["x"] * 4)
-    with pytest.raises(ValueError, match="outside the representative space"):
-        transferred_bracket_on_classes(T, [A.space.basis_vector("x")] * 2)
-
-
-# --- sign-convention conversion --------------------------------------------------
-
-def test_convention_conversion_is_an_involution():
-    A = nocontraction().algebra
-    T = homotopy_transfer(A, compute_splitting(A), 4)
-    once = alternate_sign_convention(T.minimal)
-    twice = alternate_sign_convention(once)
-    for k in range(1, 5):
-        assert twice.operation(k).table == T.minimal.operation(k).table
-
-
-def test_convention_conversion_flips_the_expected_arities():
-    # (-1)^(k(k-1)/2) is -1 for k = 2, 3 and +1 for k = 1, 4, 5
-    A = nocontraction().algebra
-    T = homotopy_transfer(A, compute_splitting(A), 3)
-    conv = alternate_sign_convention(T.minimal)
-    H = T.minimal.space
-    key = (H.index("x"),) * 3
-    assert conv.operation(3).evaluate_indices(key) == \
-        T.minimal.operation(3).evaluate_indices(key).scale(-1)
-    L = LInftyAlgebra.from_dgla(A, 4)
-    conv_L = alternate_sign_convention(L)
-    assert conv_L.operation(1).table == L.operation(1).table
-    for key, value in L.operation(2).entries():
-        assert conv_L.operation(2).evaluate_indices(key) == value.scale(-1)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_converted_random_structures_still_satisfy_converted_axioms(rng):
-    # conversion commutes with transfer: converting the minimal model of a
-    # random algebra and converting back is the identity on every table
-    A = random_two_step(rng, n_x=2, n_u=1, n_z=1)
-    T = homotopy_transfer(A, compute_splitting(A), 3)
-    back = alternate_sign_convention(alternate_sign_convention(T.minimal))
-    for k in range(1, 4):
-        assert back.operation(k).table == T.minimal.operation(k).table
