@@ -605,11 +605,6 @@ class LinearMap:
     def zero(cls, domain, codomain, degree):
         return cls(domain, codomain, degree, {})
 
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, 0,
-                   {i: space.basis_vector(i) for i in range(space.dim)})
-
     def apply(self, vec: Vector) -> Vector:
         if vec.space != self.domain:
             raise ValueError("vector not in the domain of this map")
@@ -624,28 +619,6 @@ class LinearMap:
     def __call__(self, vec: Vector) -> Vector:
         return self.apply(vec)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ValueError("maps are not composable")
-        cols = {i: self.apply(v) for i, v in other.columns.items()}
-        return LinearMap(other.domain, self.codomain,
-                         self.degree + other.degree, cols)
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        if (other.domain != self.domain or other.codomain != self.codomain
-                or other.degree != self.degree):
-            raise ValueError("maps are not addable")
-        cols = dict(self.columns)
-        for i, v in other.columns.items():
-            cols[i] = cols[i] + v if i in cols else v
-        return LinearMap(self.domain, self.codomain, self.degree, cols)
-
-    def scale(self, scalar) -> "LinearMap":
-        c = as_scalar(scalar)
-        return LinearMap(self.domain, self.codomain, self.degree,
-                         {i: v.scale(c) for i, v in self.columns.items()})
-
     def __eq__(self, other):
         return (isinstance(other, LinearMap)
                 and self.domain == other.domain and self.codomain == other.codomain
@@ -653,10 +626,6 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         return not self.columns
-
-    def kernel_basis(self):
-        """Deterministic basis of the kernel, as domain vectors."""
-        return self.pivots_and_kernel()[1]
 
     def pivots_and_kernel(self):
         """One rref of the matrix of this map gives both its pivot columns
@@ -668,14 +637,6 @@ class LinearMap:
         red, pivots = rref(rows)
         return pivots, [Vector(self.domain, {i: c for i, c in enumerate(col) if c})
                         for col in _kernel_from_rref(red, pivots, self.domain.dim)]
-
-    def image_basis(self):
-        """Deterministic (reduced echelon) basis of the image."""
-        vecs = [self.columns[i] for i in sorted(self.columns)]
-        return echelon_vectors(vecs, self.codomain)
-
-    def rank(self) -> int:
-        return len(self.image_basis())
 
     def __repr__(self):
         return (f"LinearMap({self.domain!r} -> {self.codomain!r}, "
@@ -708,13 +669,6 @@ class MultilinearMap:
         self._signed = {}
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
-
-    @classmethod
-    def from_entries(cls, domain, codomain, arity, degree, entries):
-        out = cls(domain, codomain, arity, degree)
-        for key, value in entries.items():
-            out.set_entry(key, value)
-        return out
 
     def _resolve(self, key):
         return tuple(i if isinstance(i, int) else self.domain.index(i) for i in key)
@@ -957,7 +911,7 @@ def extend_to_complement(candidates, inside, space):
             if t >= n]
 
 
-# Serial stubs for bench/ only; ROADMAP item 3's bench change deletes them.
+# Serial stubs kept only because bench/ imports them.
 def worker_count() -> int:
     """Always 1: the kernel runs on one thread."""
     return 1

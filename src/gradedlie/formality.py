@@ -262,18 +262,6 @@ class PairingFunctional:
         key = tuple(sorted(idx[:j])) + tuple(sorted(idx[j:]))
         return as_scalar(self.table.get(key, 0))
 
-    def evaluate(self, args):
-        """Multilinear evaluation at vectors of the class space."""
-        supports = [sorted(v.coeffs.items()) for v in args]
-        total = 0
-        for combo in itertools.product(*supports):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            if coeff:
-                total += coeff * self.value_indices(tuple(i for i, _ in combo))
-        return as_scalar(total)
-
 
 def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
     """Pair the arity-j inclusion against the arity-(p-j) inclusion.
@@ -713,11 +701,11 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
     In order: N < 2 raises ValueError before anything runs; the pairing
     check on ``s``; a pairing degree above 2 is out of scope; the
     normalization of ``s``, which checks it against its own degree-0
-    representatives; when ``s`` is not invariant under them, the
-    equivariant search under the degree-0 classes ``h0`` and the
-    normalization of what it finds; the witness, built on that pairing
-    report and normalization without checking them again; its
-    independent check.  A rejection at any step is a
+    representatives; when ``s`` is not invariant under them and ``h0``
+    is not empty, the equivariant search under the degree-0 classes
+    ``h0`` and the normalization of what it finds; the witness, built on
+    that pairing report and normalization without checking them again;
+    its independent check.  A rejection at any step is a
     :class:`WitnessRejected`, followed by the certificate scan on ``s``.
     """
     out_of_scope = _scope_rejection(Q, N)
@@ -738,8 +726,9 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
     try:
         normalized = normalize_splitting(Q, s)
     except NormalizationError as error:
-        if not any(v.identity.startswith("invariance")
-                   for v in error.violations):
+        # with no degree-0 classes there is nothing to search under
+        if not h0 or not any(v.identity.startswith("invariance")
+                             for v in error.violations):
             return rejected(WitnessRejected(str(error), error.violations))
         found = find_equivariant_splitting(Q.algebra, h0)
         if isinstance(found, EquivariantObstruction):

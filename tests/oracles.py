@@ -326,6 +326,51 @@ def splitting_maps_naive(splitting):
     return pi_cols, h_cols
 
 
+def _dense_product(X, Y, ncols):
+    """X @ Y for row-list matrices, Y having ``ncols`` columns."""
+    return [[sum((row[t] * Y[t][c] for t in range(len(Y))), Fraction(0))
+             for c in range(ncols)] for row in X]
+
+
+def contraction_violations_naive(splitting):
+    """d iota = 0, pi d = 0 and dh + hd = iota pi - id as dense matrix
+    products, with pi and h from :func:`splitting_maps_naive`: one
+    (identity, labels, "got ..., expected ...") per basis column where the
+    two sides differ, the identities in that order."""
+    A = splitting.algebra
+    L, H = A.space, splitting.h_space
+    n, m = L.dim, H.dim
+    pi_cols, h_cols = splitting_maps_naive(splitting)
+
+    def matrix(columns, nrows, ncols):
+        return [[Fraction(columns.get(c, {}).get(r, 0)) for c in range(ncols)]
+                for r in range(nrows)]
+
+    D = matrix({i: v.coeffs for i, v in A.d.columns.items()}, n, n)
+    I = matrix({i: v.coeffs for i, v in enumerate(splitting.h_vectors)}, n, m)
+    P = matrix(pi_cols, m, n)
+    h = matrix(h_cols, n, n)
+    dh, hd, ip = (_dense_product(D, h, n), _dense_product(h, D, n),
+                  _dense_product(I, P, n))
+    checks = [
+        ("d_iota", H, L, _dense_product(D, I, m), [[0] * m for _ in range(n)]),
+        ("pi_d", L, H, _dense_product(P, D, n), [[0] * n for _ in range(m)]),
+        ("homotopy", L, L,
+         [[dh[r][c] + hd[r][c] for c in range(n)] for r in range(n)],
+         [[ip[r][c] - (r == c) for c in range(n)] for r in range(n)]),
+    ]
+    out = []
+    for name, domain, codomain, got, expected in checks:
+        for c in range(domain.dim):
+            got_c = {r: row[c] for r, row in enumerate(got)}
+            expected_c = {r: row[c] for r, row in enumerate(expected)}
+            if got_c != expected_c:
+                out.append((f"contraction:{name}", (domain.labels[c],),
+                            f"got {Vector(codomain, got_c)}, "
+                            f"expected {Vector(codomain, expected_c)}"))
+    return out
+
+
 def pairing_cyclic_violations_naive(Q):
     """([e_i, e_j], e_k) - (e_i, [e_j, e_k]) on all dim^3 ordered basis
     triples, as (labels, defect text) in (i, j, k) order."""

@@ -102,7 +102,7 @@ def test_formality_nonformal_exits_one(corpus_files, capsys):
 
 def test_formality_without_degree_zero_classes_checks_its_own(
         corpus_files, tmp_path, capsys):
-    # an empty h0 line only seeds the equivariant search; the splitting is
+    # an empty h0 line leaves nothing to search under; the splitting is
     # still checked against its own degree-0 representative a, and fails
     text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
     assert text.endswith("\nh0 a\n")
@@ -113,6 +113,7 @@ def test_formality_without_degree_zero_classes_checks_its_own(
     assert "formality: NON-FORMAL" in out
     assert "violation invariance_H at (a, x)" in out
     assert "massey-triple certificate on (x, x, x)" in out
+    assert "equivariant search" not in out
 
 
 def test_formality_witness_on_weighted_pair(corpus_files, capsys):

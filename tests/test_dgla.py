@@ -16,11 +16,15 @@ from gradedlie.corpus import (
     nocontraction, noformal_degree3, perturb_quasi_cyclic,
     random_quasi_cyclic_two_step, standard_corpus, weighted_pair,
 )
+from gradedlie.documents import (
+    bundled_documents, document_splitting, document_to_quasi_cyclic,
+    parse_document,
+)
 
 from oracles import (
     assert_exact_scalar, build_algebra, canonical_splitting_naive,
-    degree_rich_algebras, dgla_violations_naive, rref_naive,
-    splitting_maps_naive,
+    contraction_violations_naive, degree_rich_algebras,
+    dgla_violations_naive, rref_naive, splitting_maps_naive,
 )
 
 
@@ -277,6 +281,42 @@ def test_non_cocycle_representative_fails_verification():
     s = Splitting(A, h, [V.basis_vector("b"), V.basis_vector("p")])
     bad = verify_splitting(s)
     assert "contraction:d_iota" in {v.identity for v in bad}
+
+
+def _contraction_inputs(kind):
+    if kind == "corpus":
+        return [(name, compute_splitting(Q.algebra))
+                for name, Q in standard_corpus()]
+    if kind == "degree-rich":
+        out = []
+        for name, A in degree_rich_algebras():
+            try:
+                out.append((name, compute_splitting(A)))
+            except ValueError:  # d^2 != 0: there is no splitting
+                pass
+        return out
+    # seeded one-constant edits under each document's declared splitting
+    out, rng = [], random.Random(17)
+    for name, text in bundled_documents():
+        doc = parse_document(text)
+        Q = document_to_quasi_cyclic(doc)
+        for _ in range(20):
+            desc, edited = perturb_quasi_cyclic(Q, rng)
+            out.append((f"{name}: {desc}",
+                        document_splitting(doc, edited.algebra)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["corpus", "degree-rich", "declared-edits"])
+def test_contraction_check_agrees_with_dense_products(kind):
+    found = set()
+    for name, s in _contraction_inputs(kind):
+        got = [(v.identity, v.where, v.detail) for v in verify_splitting(s)]
+        assert got == contraction_violations_naive(s), name
+        found.update(identity for identity, _, _ in got)
+    if kind == "declared-edits":
+        assert found == {"contraction:d_iota", "contraction:pi_d",
+                         "contraction:homotopy"}
 
 
 def test_complement_tilted_by_cocycles_is_still_a_splitting():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,12 @@ def test_the_package_imports_only_exported_names():
         missing = [alias.name for alias in node.names
                    if alias.name not in getattr(module, "__all__", [])]
         assert missing == [], node.module
+
+
+def test_the_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    assert "{0: 1, 1: 2, 2: 1}" in capsys.readouterr().out

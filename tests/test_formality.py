@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -206,8 +205,6 @@ def test_arity_two_functional_is_the_induced_pairing():
     assert func.value_indices((x1, x2)) == 1
     assert func.value_indices((x2, x1)) == -1
     assert func.value_indices((x1, x1)) == 0
-    combo = H.basis_vector(x1) + H.basis_vector(x2).scale(2)
-    assert func.evaluate([combo, H.basis_vector(x1)]) == -2
 
 
 def test_boundary_functionals_vanish_under_the_normalization():
@@ -378,19 +375,14 @@ def test_lemma_failure_is_reported_as_an_implementation_bug(monkeypatch):
 
 
 def test_pairing_functionals_return_int_or_non_integral_fraction():
-    Q = weighted_pair()
-    A, s = canonical(Q)
-    T = homotopy_transfer(A, s, 4)
-    H = s.h_space
-    args = [H.basis_vector(i).scale(c)
-            for i in H.indices_of_degree(1) for c in (1, Fraction(1, 2), 2)]
+    Q = dict(standard_corpus())["random-quasi-cyclic-2"]
+    s = normalize_splitting(Q, compute_splitting(Q.algebra)).splitting
+    T = homotopy_transfer(Q.algebra, s, 4)
     seen = set()
     for p, j in ((2, 1), (4, 2), (5, 2)):
         func = compute_I(T, Q.pairing, p, j)
         values = [func.value_indices((0,) * p)]
         values += [func.value_indices(idx) for idx in func.table]
-        for combo in itertools.product(args, repeat=p):
-            values.append(func.evaluate(list(combo)))
         for value in values:
             assert_exact_scalar(value)
             seen.add(type(value))
@@ -529,8 +521,8 @@ def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
         T = original(A, splitting, N)
         H = T.minimal.space
         v1, v2 = H.index("v1"), H.index("v2")
-        T.inclusion.taylor[3] = MultilinearMap.from_entries(
-            H, A.space, 3, -2, {(v1, v1, v2): A.basis_vector("v2")})
+        T.inclusion.taylor[3] = MultilinearMap(H, A.space, 3, -2)
+        T.inclusion.taylor[3].set_entry((v1, v1, v2), A.basis_vector("v2"))
         return T
     monkeypatch.setattr(formality, "homotopy_transfer", planted)
     assert _witness_failure(Q, s, 3) == (
