@@ -23,8 +23,8 @@ identities and the right side of the morphism relation) are one
 primitive, :func:`core.accumulate_composites`, which also serves the
 DG-Lie checks in :mod:`dgla`; it lives in ``core`` because this module
 imports ``dgla``.  The half-sums of brackets of two blocks (the
-transfer recursion, the left side of the morphism relation and the
-witness lemmas in :mod:`formality`) are its sibling,
+transfer recursion and the left side of the morphism relation) are its
+sibling,
 :func:`core.accumulate_bracket_halves`: graded antisymmetry of the
 stored bracket makes a split and its block swap equal, so each pair is
 evaluated once and only a split into two equal halves keeps the weight
