@@ -36,9 +36,9 @@ sn = normalized.splitting
 
 # Step 2: build the witness up to arity 6 on that evidence.  The builder
 # takes the pairing report and the normalization instead of re-checking
-# them, asserts only the identities that the check in step 3 cannot see,
-# and solves one linear system per tuple of degree-1 classes -- each with a
-# unique solution, or it refuses.
+# them, asserts only the identities that neither step 1 nor the check in
+# step 3 covers, and solves one linear system per tuple of degree-1
+# classes -- each with a unique solution, or it refuses.
 witness = build_formality_witness(normalized, pairing, 6)
 print("witness verified up to arity:", witness.verified_up_to)
 print("\nnon-identity coefficients:")

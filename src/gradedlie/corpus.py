@@ -19,6 +19,7 @@ from .cyclic import (
     from_symplectic_representation,
 )
 from .dgla import DgLieAlgebra
+from .documents import AlgebraDocument, document_to_algebra
 
 __all__ = [
     "nocontraction", "noformal_degree3", "weighted_pair", "abelian_base",
@@ -29,14 +30,8 @@ __all__ = [
 
 
 def _algebra(basis, differential, brackets):
-    space = GradedVectorSpace(basis)
-    d = LinearMap(space, space, 1,
-                  {space.index(src): space.vector(img)
-                   for src, img in differential.items()})
-    bracket = MultilinearMap(space, space, 2, 0)
-    for pair, img in brackets.items():
-        bracket.set_entry(pair, space.vector(img))
-    return DgLieAlgebra(space, d, bracket)
+    return document_to_algebra(
+        AlgebraDocument("", basis, differential, brackets))
 
 
 def nocontraction() -> QuasiCyclicDgla:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,6 +177,19 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_the_documents_in_the_format_doc_validate(tmp_path, capsys):
+    text = (Path(SRC).parent / "docs" / "format.md").read_text("utf-8")
+    blocks = [b for b in re.findall(r"```\n(.*?)```", text, re.S)
+              if b.startswith("name ")]
+    assert blocks
+    for n, block in enumerate(blocks):
+        path = tmp_path / f"example{n}.alg"
+        path.write_text(block, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (0, ""), out + err
+        assert out.startswith("validate: PASS")
 
 
 def test_parse_error_exits_two_with_position(tmp_path, capsys):

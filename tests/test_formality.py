@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -519,40 +520,6 @@ def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
         "under g: v2 vs -v2")
 
 
-def test_planted_inclusion_pairing_entry_fails_invariance(monkeypatch):
-    Q, s = _symplectic_plane()
-    original = formality.compute_I
-
-    def planted(T, pairing, p, j):
-        func = original(T, pairing, p, j)
-        if (p, j) == (4, 2):
-            v1, v2 = T.minimal.space.index("v1"), T.minimal.space.index("v2")
-            key = (v1, v1, v1, v2)
-            func.table[key] = func.table.get(key, 0) + 1
-        return func
-    monkeypatch.setattr(formality, "compute_I", planted)
-    assert _witness_failure(Q, s, 3) == (
-        "inclusion pairing (split 2, 2) is not invariant at "
-        "('v1', 'v1', 'v1', 'v2') under g: sum -2")
-
-
-def test_planted_coefficient_pairing_entry_fails_invariance(monkeypatch):
-    Q, s = _symplectic_plane()
-    original = formality._compute_F
-
-    v1, v2 = s.h_space.index("v1"), s.h_space.index("v2")
-
-    def planted(*args):
-        func = original(*args)
-        if args[-2:] == (4, 2):
-            func.table[(v1, v2, v2, v2)] = 1
-        return func
-    monkeypatch.setattr(formality, "_compute_F", planted)
-    assert _witness_failure(Q, s, 3) == (
-        "coefficient pairing (split 2, 2) is not invariant at "
-        "('v1', 'v2', 'v2', 'v2') under g: sum 2")
-
-
 def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
     Q, s = _symplectic_plane()
     original = formality.solve_dense
@@ -654,6 +621,114 @@ def test_hollow_inclusion_functionals_fail_the_independent_check(monkeypatch):
         "morphism_relation_4 fails at (x1, x1, x2, x2): defect -2*w"]
 
 
+# A non-invariant pairing functional makes the coefficient solved from it
+# non-equivariant: the builder's f_N check catches that at the top arity,
+# and below the top it is the arity-(p+1) relation at (g, idx).
+
+def test_planted_inclusion_pairing_entry_fails_the_coefficient_checks(
+        monkeypatch):
+    original = formality.compute_I
+
+    def planted(T, pairing, p, j):
+        func = original(T, pairing, p, j)
+        if (p, j) == (4, 2):
+            v1, v2 = T.minimal.space.index("v1"), T.minimal.space.index("v2")
+            key = (v1, v1, v1, v2)
+            func.table[key] = func.table.get(key, 0) + 1
+        return func
+    monkeypatch.setattr(formality, "compute_I", planted)
+    Q, s = _symplectic_plane()
+    assert _witness_failure(Q, s, 3) == (
+        "witness coefficient f_3 fails equivariance at ('v1', 'v1', 'v1') "
+        "under g: -3/2*v1 vs -9/2*v1")
+    assert _verdict_leftovers(Q, 4) == [
+        "morphism_relation_4 fails at (g, v1, v1, v1): defect -3*v1",
+        "morphism_relation_4 fails at (g, v1, v1, v2): defect v2"]
+
+
+def test_planted_coefficient_pairing_entry_fails_the_coefficient_checks(
+        monkeypatch):
+    Q, s = _symplectic_plane()
+    original = formality._compute_F
+    v1, v2 = s.h_space.index("v1"), s.h_space.index("v2")
+
+    def planted(*args):
+        func = original(*args)
+        if args[-2:] == (4, 2):
+            func.table[(v1, v2, v2, v2)] = 1
+        return func
+    monkeypatch.setattr(formality, "_compute_F", planted)
+    assert _witness_failure(Q, s, 3) == (
+        "witness coefficient f_3 fails equivariance at ('v1', 'v2', 'v2') "
+        "under g: v1 vs -v1")
+    assert _verdict_leftovers(Q, 4) == [
+        "morphism_relation_4 fails at (g, v1, v2, v2): defect -2*v1",
+        "morphism_relation_4 fails at (v1, v2, v2, v2): defect -3*g^"]
+
+
+def _invariance_defects(Q, witness):
+    """Nonzero degree-0 action sums of the pairing functionals I(q, j)
+    (inclusion against inclusion, q <= N + 1) and F(p + 1, j) (witness
+    coefficient against coefficient, 3 <= p <= N, 2 <= j <= p - 1), as
+    (functional, q, j, tuple, g, sum), and the number of sums taken."""
+    T, N = witness.transfer, witness.verified_up_to
+    H, iota1 = T.minimal.space, T.splitting.iota1
+    h1 = H.indices_of_degree(1)
+    bracket2 = T.minimal.operation(2)
+    inclusion = {j: T.inclusion.component(j) for j in range(1, N + 1)}
+    coefficient = {j: witness.taylor.get(j, MultilinearMap(H, H, j, 1 - j))
+                   for j in range(1, N)}
+
+    def functional(maps, to_algebra, j):
+        def value(idx):
+            left = maps[j].evaluate_indices(idx[:j])
+            right = maps[len(idx) - j].evaluate_indices(idx[j:])
+            return Q.pairing.evaluate(to_algebra(left), to_algebra(right))
+        return value
+
+    splits = [("I", q, j, functional(inclusion, lambda v: v, j))
+              for q in range(2, N + 2) for j in range(1, q)
+              if max(j, q - j) <= N]
+    splits += [("F", p + 1, j, functional(coefficient, iota1.apply, j))
+               for p in range(3, N + 1) for j in range(2, p)]
+    defects, sums = [], 0
+    for name, q, j, value in splits:
+        for idx in itertools.combinations_with_replacement(h1, q):
+            for g in H.indices_of_degree(0):
+                total = 0
+                for slot, i in enumerate(idx):
+                    row = bracket2.evaluate_indices((i, g)).coeffs
+                    for t, c in row.items():
+                        total += c * value(idx[:slot] + (t,) + idx[slot + 1:])
+                sums += 1
+                if total:
+                    defects.append((name, q, j, idx, H.labels[g], total))
+    return defects, sums
+
+
+def test_pairing_functionals_are_invariant_on_every_built_witness():
+    # the builder does not assert these sums: for I they follow from the
+    # inclusion equivariance and cyclicity, for F from the equivariance of
+    # the lower coefficients, which verify_witness checks.  One build at
+    # N = 6 covers every N <= 6: neither iota_p nor f_p depends on N.
+    rng = random.Random(7)
+    instances = [(name, Q, compute_splitting(Q.algebra))
+                 for name, Q in standard_corpus()]
+    for t in range(20):
+        Q = from_symplectic_representation(random_symplectic(rng))
+        instances.append((f"symplectic {t}", Q, compute_splitting(Q.algebra)))
+    built, sums = 0, 0
+    for name, Q, s in instances:
+        verdict = formality_verdict(Q, s, degree_zero(s), 6)
+        if verdict.witness is None:
+            continue
+        assert verdict.status == "FORMAL-UP-TO-6", name
+        defects, checked = _invariance_defects(Q, verdict.witness)
+        assert defects == [], name
+        built, sums = built + 1, sums + checked
+    assert built >= 20 and sums > 0
+
+
 def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
     Q, s = _symplectic_plane()
     calls = []
@@ -665,8 +740,10 @@ def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
     monkeypatch.setattr(formality, "compute_I", counted)
     N = 6
     build_formality_witness(*prepared(Q, s), N)
-    assert sorted(calls) == [(q, j) for q in range(2, N + 2)
-                             for j in range(1, q) if max(j, q - j) <= N]
+    # only the splits the coefficient solves read: no boundary split, and
+    # nothing of total arity 2 or 3
+    assert calls == [(p + 1, j) for p in range(3, N + 1) for j in range(2, p)]
+    assert len(calls) == 10
 
 
 # --- the formality verdict ------------------------------------------------------
