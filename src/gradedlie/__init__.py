@@ -35,8 +35,7 @@ from .formality import (
     FormalityVerdict, FormalityWitness, MasseyTripleProduct,
     NonFormalityCertificate, PairingFunctional, WitnessRejected,
     build_formality_witness, compute_I, detect_nonformality,
-    formality_verdict, massey_triple, ternary_bracket_certificate,
-    verify_witness,
+    formality_verdict, massey_triple, verify_witness,
 )
 
 __version__ = "0.1.0"

@@ -143,7 +143,6 @@ class PairingReport:
     nondegenerate_on_H: bool
     rank_on_L: int
     rank_on_H: int
-    dim_h: int
     violations: list = field(default_factory=list)
 
     @property
@@ -216,7 +215,6 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
         nondegenerate_on_H=(rank_h == len(reps)),
         rank_on_L=rank_l,
         rank_on_H=rank_h,
-        dim_h=len(reps),
         violations=out,
     )
 

@@ -1,25 +1,28 @@
 """Massey products, non-formality certificates, and formality witnesses.
 
 Two complementary tools around the same question.  Triple Massey products
-(and transferred ternary brackets) certify that an algebra is NOT formal;
-their vanishing proves nothing.  In the other direction, for quasi-cyclic
-algebras with pairing degree at most 2 whose splitting is invariant under
-the degree-0 classes and orthogonally normalized, a recursion over pairing
-functionals produces the Taylor coefficients of an explicit structure
-isomorphism onto the cohomology graded Lie algebra -- a checkable
-formality witness.  Those hypotheses are checked once, by
+certify that an algebra is NOT formal; their vanishing proves nothing.  In
+the other direction, for quasi-cyclic algebras with pairing degree at most
+2 whose splitting is invariant under the degree-0 classes and orthogonally
+normalized, a recursion over pairing functionals produces the Taylor
+coefficients of an explicit structure isomorphism onto the cohomology
+graded Lie algebra -- a checkable formality witness.  Those hypotheses are checked once, by
 :func:`formality_verdict` through ``validate_pairing`` and
 ``normalize_splitting``; the witness builder takes that evidence and does
 not check it again.
 
 :func:`verify_witness` is the one check of the witness's morphism
-relations up to arity N.  The builder asserts only what that check and the
+relations up to arity N, as the transfer's own check is of the
+inclusion's.  The builder asserts only what those checks and the
 hypothesis checks cannot see: vanishing off the degree-1 block (on the
-stored entries), boundary terms, inclusion equivariance, a nondegenerate
-Gram matrix, unique solves, and the equivariance of f_N, which enters no
-relation of arity <= N.  The degree-0 action enters those checks through
-rows [e_i, g] computed once per build.  Each pairing functional is built
-once, and only for the splits the coefficient solves read.
+stored entries), boundary terms, a nondegenerate Gram matrix, and the
+degree-0 equivariance of the top inclusion iota_N and the top coefficient
+f_N.  Below N, the equivariance of iota_p and of f_p is the arity-(p+1)
+relation at (g, idx), which those checks cover; iota_N and f_N enter no
+relation of arity <= N.  The degree-0 action enters the equivariance
+check through rows [e_i, g] computed once per build.  Each pairing
+functional is built once, and only for the splits the coefficient solves
+read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .linfty import (
 __all__ = [
     "MasseyTripleProduct", "massey_triple",
     "NonFormalityCertificate", "detect_nonformality",
-    "ternary_bracket_certificate",
     "PairingFunctional", "compute_I",
     "FormalityWitness", "WitnessRejected", "build_formality_witness",
     "verify_witness", "FormalityVerdict", "formality_verdict",
@@ -127,26 +129,21 @@ def massey_triple(A: DgLieAlgebra, s: Splitting, a, b, c):
     if not A.d.apply(representative).is_zero():
         return None
 
+    # shifting eta by a cocycle w moves the class by +-pi[a, w], shifting
+    # xi by pi[w, c]
+    shifts = []
+    for w in s.h_vectors:
+        if w.degree() == b.degree() + c.degree() - 1:
+            shifts.append(s.pi.apply(A.bracket_of(a, w)))
+        if w.degree() == a.degree() + b.degree() - 1:
+            shifts.append(s.pi.apply(A.bracket_of(w, c)))
     return MasseyTripleProduct(
         inputs=(a, b, c), primitives=(xi, eta),
         representative=representative,
         class_vector=s.pi.apply(representative),
-        indeterminacy=_indeterminacy(
-            s.h_space, s.h_vectors,
-            lambda u, v: s.pi.apply(A.bracket_of(u, v)), a, b, c),
+        indeterminacy=echelon_vectors(
+            [v for v in shifts if not v.is_zero()], s.h_space),
         degree=a.degree() + b.degree() + c.degree() - 1)
-
-
-def _indeterminacy(H, classes, bracket, a, b, c) -> list:
-    """Echelon basis in ``H`` of ``bracket(a, w)`` and ``bracket(w, c)``
-    over the ``classes`` w of the degrees that shift a triple product."""
-    candidates = []
-    for w in classes:
-        if w.degree() == b.degree() + c.degree() - 1:
-            candidates.append(bracket(a, w))
-        if w.degree() == a.degree() + b.degree() - 1:
-            candidates.append(bracket(w, c))
-    return echelon_vectors([v for v in candidates if not v.is_zero()], H)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +152,13 @@ def _indeterminacy(H, classes, bracket, a, b, c) -> list:
 
 @dataclass
 class NonFormalityCertificate:
-    """Evidence of non-formality: a nonzero class modulo its indeterminacy.
-
-    Carried either by a triple product or by a transferred ternary
-    bracket; both routes share the indeterminacy subspace.
-    """
+    """Evidence of non-formality: a triple product whose class is nonzero
+    modulo its indeterminacy."""
     kind: str
     triple: tuple
     class_vector: Vector
     indeterminacy: list
-    massey: MasseyTripleProduct | None = None
+    massey: MasseyTripleProduct
 
     def describe(self) -> str:
         labels = ", ".join(self.triple)
@@ -212,30 +206,6 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
                 indeterminacy=product.indeterminacy,
                 massey=product)
     return None
-
-
-def ternary_bracket_certificate(T: TransferResult, a, b, c):
-    """Certificate from a transferred ternary bracket, or None.
-
-    The alternative route to the same conclusion: evaluates the arity-3
-    transferred bracket on three classes and tests the value against the
-    indeterminacy subspace shared with the triple product.
-    """
-    H = T.minimal.space
-    classes = [v if isinstance(v, Vector) else H.basis_vector(v)
-               for v in (a, b, c)]
-    value = T.minimal.operation(3).evaluate(classes)
-    bracket2 = T.minimal.operation(2)
-    indeterminacy = _indeterminacy(
-        H, [H.basis_vector(i) for i in range(H.dim)],
-        lambda u, v: bracket2.evaluate([u, v]), *classes)
-    if value.is_zero() or coordinates_in_span(indeterminacy, value) is not None:
-        return None
-    return NonFormalityCertificate(
-        kind="transferred-ternary",
-        triple=tuple(repr(v) for v in classes),
-        class_vector=value,
-        indeterminacy=indeterminacy)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +285,11 @@ def _pairing_table(pair, left_map, right_map) -> dict:
 
 
 def _nonzero_values(op: MultilinearMap) -> list:
-    """(tuple, value) for the sorted degree-1 tuples where ``op`` is nonzero."""
-    out = []
-    for idx in itertools.combinations_with_replacement(
-            op.domain.indices_of_degree(1), op.arity):
-        value = op.evaluate_indices(idx)
-        if not value.is_zero():
-            out.append((idx, value))
-    return out
+    """(tuple, value) for the sorted degree-1 tuples where ``op`` is nonzero:
+    its stored entries on them, as ``set_entry`` never stores a zero."""
+    degrees = op.domain.degrees
+    return [(idx, value) for idx, value in op.entries()
+            if all(degrees[i] == 1 for i in idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +305,9 @@ class FormalityWitness:
     report lists what the builder checked; :func:`verify_witness` checks
     the morphism relations to verified_up_to, which bounds every claim.
     f_N enters only the arity-(N+1) relation, which nothing checks; the
-    builder checks its equivariance alone.  ``transfer`` is the minimal
-    model the witness was built on.
+    builder checks its degree-0 equivariance alone, as it does that of the
+    top inclusion.  ``transfer`` is the minimal model the witness was
+    built on.
     """
     taylor: dict
     verified_up_to: int
@@ -392,8 +360,9 @@ def build_formality_witness(normalized: NormalizedSplitting,
     message names a broken input as well as a bug.  The morphism
     relations of the result are left to :func:`verify_witness`.  The
     invariance of the pairing functionals is not asserted either: it
-    follows from the hypotheses, the inclusion equivariance and those
-    relations.
+    follows from the hypotheses, the equivariance of the inclusion (its
+    morphism relations below N, checked by the transfer, and the top
+    inclusion, checked here) and those relations.
     """
     Q, s = normalized.quasi, normalized.splitting
     rejection = _scope_rejection(Q, N)
@@ -432,28 +401,21 @@ def _identity_map(H) -> MultilinearMap:
 
 def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     """The arity-recursion for pairing degree 2, with the assertions that
-    :func:`verify_witness` cannot replace.
+    the transfer's check and :func:`verify_witness` cannot replace.
 
-    Every degree-0 sum reads the action rows [e_i, g] built up front, so a
-    slot acted on by g is a short sum of basis tuples.  Only the pairing
-    functionals the coefficient solves read are computed, each once.  Their
-    invariance under the degree-0 action is not asserted: for I it follows
-    from the inclusion equivariance checked here and the cyclic pairing,
-    and for F from the equivariance of the lower coefficients, which is
-    their morphism relation at (g, idx) in :func:`verify_witness`.
+    Only the pairing functionals the coefficient solves read are computed,
+    each once.  Their invariance under the degree-0 action is not
+    asserted: for I it follows from the inclusion equivariance and the
+    cyclic pairing, and for F from the equivariance of the lower
+    coefficients.  Given the vanishing on degree-0 slots checked here, the
+    equivariance of iota_p and f_p for p < N is their arity-(p+1) relation
+    at (g, idx), which the transfer and :func:`verify_witness` check; only
+    iota_N and f_N are checked for it here, through the action rows
+    [e_i, g] built up front.
     """
     A = Q.algebra
     H = s.h_space
     h1 = H.indices_of_degree(1)
-    bracket2 = T.minimal.operation(2)
-    h0 = H.indices_of_degree(0)
-    g_classes = [H.basis_vector(i) for i in h0]
-    g_images = [s.iota1.apply(g) for g in g_classes]
-    t_images = {t: s.iota1.apply(H.basis_vector(t)) for t in h1}
-    # the action row of each degree-0 class g: [e_i, g] as (t, c) pairs,
-    # for every degree-1 class i
-    rows = [{i: tuple(bracket2.evaluate_indices((i, g)).coeffs.items())
-             for i in h1} for g in h0]
 
     # vanishing on degree-0 slots, and outside all-degree-1 tuples, checked
     # on the stored entries: set_entry never stores a zero
@@ -476,13 +438,10 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                   f"stored entries")
 
     # the boundary terms of the recursion vanish
+    t_images = {t: s.iota1.apply(H.basis_vector(t)) for t in h1}
     checked = 0
     for p in range(3, N + 1):
-        tail_map = T.inclusion.component(p - 1)
-        for left in itertools.combinations_with_replacement(h1, p - 1):
-            lv = tail_map.evaluate_indices(left)
-            if lv.is_zero():
-                continue
+        for left, lv in _nonzero_values(T.inclusion.component(p - 1)):
             for t in h1:
                 boundary = s.pi.apply(A.bracket.evaluate([lv, t_images[t]]))
                 assert boundary.is_zero(), (
@@ -492,23 +451,8 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                 checked += 1
     report.append(f"boundary terms checked on {checked} tuples")
 
-    # the inclusion intertwines the degree-0 action at every arity
-    checked = 0
-    for p in range(1, N + 1):
-        inclusion_p = T.inclusion.component(p)
-        for idx in itertools.combinations_with_replacement(h1, p):
-            iv = inclusion_p.evaluate_indices(idx)
-            for g, g_image, row in zip(g_classes, g_images, rows):
-                lhs = A.bracket.evaluate([iv, g_image])
-                rhs = _acted_value(inclusion_p, idx, row)
-                assert lhs == rhs, (
-                    f"arity-{p} inclusion fails equivariance at "
-                    f"{tuple(H.labels[i] for i in idx)} under {g}: "
-                    f"{lhs} vs {rhs}")
-                checked += 1
-    report.append(f"inclusion equivariance checked on {checked} pairs")
-
-    # the coefficient recursion
+    # the coefficient recursion; a nondegenerate Gram matrix makes every
+    # solve unique
     def pair_classes(u, v):
         return Q.pairing.evaluate(s.iota1.apply(u), s.iota1.apply(v))
 
@@ -538,11 +482,8 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                         args = head + (t,)
                         totals[col] += c * (i_func.value_indices(args)
                                             - f_func.value_indices(args))
-            rhs = [total * _HALF for total in totals]
-            solution, kernel = solve_dense(gram, rhs)
-            assert solution is not None and not kernel, (
-                f"coefficient solve at {tuple(H.labels[i] for i in idx)} "
-                f"is not uniquely solvable")
+            solution, _ = solve_dense(gram,
+                                      [total * _HALF for total in totals])
             solves += 1
             vec = Vector(H, {h1[c]: value
                              for c, value in enumerate(solution) if value})
@@ -552,22 +493,33 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     report.append(f"coefficient recursion: {solves} unique solves across "
                   f"arities 3..{N}")
 
-    # f_N enters no relation of arity <= N, so verify_witness cannot see it;
-    # the equivariance of each lower f_p is its arity-(p+1) relation at (g, idx)
-    checked = 0
+    # iota_N and f_N enter no relation of arity <= N: their equivariance
+    # under each degree-0 class g, acting on the ambient algebra through
+    # iota_1(g) and on H through its action row [e_i, g]
+    h0 = H.indices_of_degree(0)
+    g_classes = [H.basis_vector(g) for g in h0]
+    bracket2 = T.minimal.operation(2)
+    rows = [{i: tuple(bracket2.evaluate_indices((i, g)).coeffs.items())
+             for i in h1} for g in h0]
+    tops = [(f"arity-{N} inclusion", T.inclusion.component(N), A.bracket,
+             [s.iota1.apply(g) for g in g_classes])]
     if N >= 3:
-        f_top = f_tables[N]
+        tops.append((f"witness coefficient f_{N}", f_tables[N], bracket2,
+                     g_classes))
+    checked = 0
+    for name, top, bracket, acting in tops:
         for idx in itertools.combinations_with_replacement(h1, N):
-            fv = f_top.evaluate_indices(idx)
-            for g, row in zip(g_classes, rows):
-                lhs = bracket2.evaluate([fv, g])
-                rhs = _acted_value(f_top, idx, row)
+            value = top.evaluate_indices(idx)
+            for g, g_acting, row in zip(g_classes, acting, rows):
+                lhs = bracket.evaluate([value, g_acting])
+                rhs = _acted_value(top, idx, row)
                 assert lhs == rhs, (
-                    f"witness coefficient f_{N} fails equivariance at "
+                    f"{name} fails equivariance at "
                     f"{tuple(H.labels[i] for i in idx)} under {g}: "
                     f"{lhs} vs {rhs}")
                 checked += 1
-    report.append(f"equivariance of f_{N} checked on {checked} pairs")
+    names = " and the ".join(name for name, *_ in tops)
+    report.append(f"equivariance of the {names} checked on {checked} pairs")
 
     taylor = {1: f_tables[1]}
     for p in range(3, N + 1):

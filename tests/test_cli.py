@@ -318,6 +318,24 @@ def test_internal_error_exits_three_with_one_line(corpus_files, tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_formality_on_an_invalid_algebra_exits_three_at_the_top_arity(
+        corpus_files, tmp_path, capsys):
+    # [x1, u1] = du1 breaks the Jacobi identity; at --arity 3 only the
+    # equivariance check of the top inclusion sees it, and no verdict is
+    # printed
+    text = Path(corpus_files["weighted-pair"]).read_text(encoding="utf-8")
+    bad = tmp_path / "edited.alg"
+    bad.write_text(text.replace("[x1, x2] = w\n",
+                                "[x1, x2] = w\n  [x1, u1] = du1\n"),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "formality", str(bad), "--arity", "3")
+    assert code == 3
+    assert "FORMAL-UP-TO-3" not in out
+    assert err.startswith(
+        "internal error: arity-3 inclusion fails equivariance at "
+        "('x1', 'x1', 'x1') under g: -6*u1 vs -9*u1")
+
+
 def test_the_parser_is_built_once_per_process(corpus_files, capsys,
                                               monkeypatch):
     import argparse

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -37,3 +38,25 @@ def test_the_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
     assert "{0: 1, 1: 2, 2: 1}" in capsys.readouterr().out
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # bench/tracing.py imports no gradedlie code: load it by path and look
+    # up each name it wraps, so a deletion that breaks the traced
+    # benchmark fails here too
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    core = importlib.import_module("gradedlie.core")
+    missing = [f"{module}.{fn}" for module, fns in tracing.SPANNED.items()
+               for fn in fns
+               if not hasattr(importlib.import_module(f"gradedlie.{module}"),
+                              fn)]
+    missing += [f"core.{fn}" for fn in
+                tracing.COUNTED_FUNCTIONS + ["parallel_map", "worker_count"]
+                if not hasattr(core, fn)]
+    missing += [f"core.{cls}.{method}"
+                for cls, method in tracing.COUNTED_METHODS
+                if not hasattr(getattr(core, cls, None), method)]
+    assert tracing.SPANNED and missing == []

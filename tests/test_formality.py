@@ -7,13 +7,13 @@ import pytest
 from gradedlie.core import MultilinearMap, coordinates_in_span
 from gradedlie.cyclic import CyclicPairing, QuasiCyclicDgla, validate_pairing
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
+import gradedlie.linfty as linfty
 from gradedlie.linfty import homotopy_transfer
 import gradedlie.formality as formality
 from gradedlie.formality import (
     FormalityWitness, MasseyTripleProduct, PairingFunctional, WitnessRejected,
     build_formality_witness, compute_I, detect_nonformality,
-    formality_verdict, massey_triple, ternary_bracket_certificate,
-    verify_witness,
+    formality_verdict, massey_triple, verify_witness,
 )
 from gradedlie.corpus import (
     abelian_base, diagonal_symplectic, nocontraction, noformal_degree3,
@@ -179,19 +179,6 @@ def test_scan_is_inconclusive_on_formal_instances():
     for Q in (abelian_base(), weighted_pair()):
         A, s = canonical(Q)
         assert detect_nonformality(A, s) is None
-
-
-def test_ternary_bracket_route_agrees_with_the_triple_product():
-    A, s = canonical(nocontraction())
-    T = homotopy_transfer(A, s, 3)
-    certificate = ternary_bracket_certificate(T, "x", "x", "x")
-    assert certificate.kind == "transferred-ternary"
-    assert repr(certificate.class_vector) == "-3*z"
-    assert certificate.indeterminacy == []
-
-    W, sW = canonical(weighted_pair())
-    TW = homotopy_transfer(W, sW, 3)
-    assert ternary_bracket_certificate(TW, "x1", "x1", "x2") is None
 
 
 # --- pairing functionals --------------------------------------------------------
@@ -520,6 +507,35 @@ def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
         "under g: v2 vs -v2")
 
 
+def test_a_non_equivariant_lower_inclusion_fails_the_transfer(monkeypatch):
+    # why the builder checks only iota_N for equivariance: below N it is
+    # the arity-(p+1) relation at (g, idx), and the transfer checks that
+    original = linfty._level_tables
+
+    def planted(A, splitting, N):
+        iota_tables, bracket_tables = original(A, splitting, N)
+        H = splitting.h_space
+        v1 = H.index("v1")
+        # g acts by -1 on v1 and +1 on v2: equivariance at (v1, v1) asks
+        # [iota_2(v1, v1), g] = -2 iota_2(v1, v1), and v2 gives +v2
+        iota2 = iota_tables.setdefault(2, MultilinearMap(H, A.space, 2, -1))
+        iota2.set_entry((v1, v1), A.basis_vector("v2"))
+        return iota_tables, bracket_tables
+    monkeypatch.setattr(linfty, "_level_tables", planted)
+    builds = []
+    monkeypatch.setattr(formality, "_build_degree_two_witness",
+                        lambda *args: builds.append(args))
+    Q, s = _symplectic_plane()
+    with pytest.raises(AssertionError) as info:
+        build_formality_witness(*prepared(Q, s), 3)
+    # (v1, v1, v1) fails too: [iota_2(v1, v1), v1] = [v2, v1] is a new term
+    assert str(info.value) == (
+        "internal error: inclusion fails its morphism relations: "
+        "morphism_relation_3 at ('g', 'v1', 'v1'); "
+        "morphism_relation_3 at ('v1', 'v1', 'v1')")
+    assert builds == []
+
+
 def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
     Q, s = _symplectic_plane()
     original = formality.solve_dense
@@ -536,6 +552,31 @@ def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
     assert _witness_failure(Q, s, 3) == (
         "witness coefficient f_3 fails equivariance at ('v1', 'v1', 'v2') "
         "under g: v2 vs -v2")
+
+
+def test_the_top_inclusion_check_stops_an_invalid_algebra():
+    # [x1, u1] = du1 breaks the Jacobi identity at (g, x1, u1), which
+    # formality does not check.  At N = 3 every checked relation still
+    # holds and only the equivariance check of iota_3 sees the defect; at
+    # N = 4 it is the transfer's arity-4 relation at (g, x1, x1, x1)
+    text = dict(bundled_documents())["weighted-pair"]
+    doc = parse_document(text.replace(
+        "  [x1, x2] = w\n", "  [x1, x2] = w\n  [x1, u1] = du1\n"))
+    Q = document_to_quasi_cyclic(doc)
+    s, h0 = document_splitting(doc, Q.algebra), [Q.algebra.basis_vector("g")]
+    assert [str(v) for v in validate_dgla(Q.algebra)] == [
+        "jacobi fails at (g, x1, u1): defect du1"]
+    with pytest.raises(AssertionError) as info:
+        formality_verdict(Q, s, h0, 3)
+    assert str(info.value).startswith(
+        "arity-3 inclusion fails equivariance at ('x1', 'x1', 'x1') under "
+        "g: -6*u1 vs -9*u1 -- the pairing and the normalization were "
+        "checked")
+    with pytest.raises(AssertionError) as info:
+        formality_verdict(Q, s, h0, 4)
+    assert str(info.value) == (
+        "internal error: inclusion fails its morphism relations: "
+        "morphism_relation_4 at ('g', 'x1', 'x1', 'x1')")
 
 
 # The builder leaves the morphism relations to verify_witness: a defect
