@@ -29,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .cyclic import validate_pairing
 from .dgla import compute_splitting, cohomology, validate_dgla, verify_splitting
@@ -39,7 +40,8 @@ from .documents import (
 )
 from .formality import detect_nonformality, formality_verdict, massey_triple
 # check_morphism stays in this namespace for callers that look it up here;
-# on the transfer path only homotopy_transfer runs it
+# the transfer path never calls it, as homotopy_transfer checks the
+# morphism relations in the walk that builds each level
 from .linfty import (  # noqa: F401
     check_linfty_axioms, check_morphism, homotopy_transfer,
 )
@@ -340,9 +342,25 @@ def _finding_text(f) -> str:
     return json.dumps(f, sort_keys=True)
 
 
+def _dumps(value, indent="\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, but
+    with no pure-Python encoder, which ``json`` runs given an indent."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _dumps(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def _render(report: Report, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report.as_dict(), sort_keys=True, indent=2)
+        return _dumps(report.as_dict())
     lines = [f"{report.command}: {report.status} "
              f"({report.seconds:.3f}s)"]
     lines.extend(f"  - {_finding_text(f)}" for f in report.findings)

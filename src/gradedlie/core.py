@@ -307,7 +307,9 @@ def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
     The sum is, over k = 1..n (n = len(idx)), (-1)^(n-k) times the
     (k, n-k)-shuffle sum of the Koszul sign times
     outer_(n-k+1)(inner_k(first block), rest), with ``inner_ops`` and
-    ``outer_ops`` mapping arity to operation (a missing arity is zero).
+    ``outer_ops`` mapping arity to :class:`MultilinearMap` (a missing
+    arity is zero).  The outer operation is linear in its first slot, so
+    it is read off its table once per coefficient of the inner value.
     The shuffles go through :func:`shuffle_splits`; ``total`` is a
     coefficient dict owned by the caller, as for :func:`accumulate`.
     """
@@ -322,10 +324,11 @@ def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
         sign = -factor if (n - k) % 2 else factor
         for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
             head = inner.evaluate_indices(tuple([idx[s] for s in first]))
-            if head.is_zero():
-                continue
-            args = [head] + [space.basis_vector(idx[s]) for s in rest]
-            accumulate(total, outer.evaluate(args), c * sign)
+            tail = tuple([idx[s] for s in rest])
+            scale = c * sign
+            for i, a in head.coeffs.items():
+                accumulate(total, outer.evaluate_indices((i,) + tail),
+                           a * scale)
 
 
 def accumulate_bracket_halves(total: dict, space, idx, maps,

@@ -33,8 +33,8 @@ from fractions import Fraction
 
 from .core import (
     LinearMap, MultilinearMap, Vector, accumulate, as_scalar,
-    coordinates_in_span, echelon_vectors, kernel_vectors,
-    repeat_pattern, shuffle_splits, solve_dense,
+    coordinates_in_span, echelon_vectors, repeat_pattern, rref,
+    shuffle_splits,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting,
@@ -456,11 +456,14 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     def pair_classes(u, v):
         return Q.pairing.evaluate(s.iota1.apply(u), s.iota1.apply(v))
 
-    gram = [[pair_classes(H.basis_vector(c), H.basis_vector(t)) for c in h1]
-            for t in h1]
-    assert not kernel_vectors(gram, len(h1)), (
+    # one rref of [gram | I] checks the Gram matrix and inverts it
+    red, pivots = rref([[pair_classes(H.basis_vector(c), H.basis_vector(t))
+                         for c in h1] + [int(r == t) for r in h1]
+                        for t in h1])
+    assert pivots == list(range(len(h1))), (
         "induced pairing is degenerate on the degree-1 classes; the "
         "coefficient solves cannot be unique")
+    inverse = [row[len(h1):] for row in red]
 
     f_tables = {1: _identity_map(H)}
     solves = 0
@@ -482,11 +485,9 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
                         args = head + (t,)
                         totals[col] += c * (i_func.value_indices(args)
                                             - f_func.value_indices(args))
-            solution, _ = solve_dense(gram,
-                                      [total * _HALF for total in totals])
             solves += 1
-            vec = Vector(H, {h1[c]: value
-                             for c, value in enumerate(solution) if value})
+            vec = Vector(H, {h1[c]: sum(a * b for a, b in zip(row, totals))
+                             * _HALF for c, row in enumerate(inverse)})
             if not vec.is_zero():
                 f_p.set_entry(idx, vec)
         f_tables[p] = f_p

@@ -4,11 +4,12 @@ The central construction: given a differential graded Lie algebra with a
 chosen splitting, build the minimal L-infinity structure on the chosen
 cohomology representatives together with the inclusion that witnesses it.
 Both are computed by one memoized recursion, level by level in the arity,
-and the inclusion's morphism relations are checked before the result is
-returned.  That one check covers the arity-2 bracket too: with pi d = 0
-and pi iota = id, pi of the arity-2 relation reads l_2 = pi[iota x,
-iota y], the induced cohomology bracket.  The model is minimal by
-construction, as no level stores an arity-1 bracket.
+and the inclusion's morphism relations are checked in the same walk, each
+from the value its level has just computed.  That one check covers the
+arity-2 bracket too: with pi d = 0 and pi iota = id, pi of the arity-2
+relation reads l_2 = pi[iota x, iota y], the induced cohomology bracket.
+The model is minimal by construction, as no level stores an arity-1
+bracket.
 
 All operations are graded symmetric with Koszul signs; the arity-n bracket
 has degree 2 - n and the arity-n piece of a morphism into a DGLA has
@@ -178,6 +179,21 @@ class LInftyMorphismToDgla:
                 f"tracked to {self.arity_bound})")
 
 
+def _check_relation(out: list, total: dict, src, idx, target: DgLieAlgebra,
+                    brackets, taylor) -> None:
+    """Finish the arity-n relation at a sorted tuple whose bracket half-sum
+    is in ``total``: add d g_n(idx), subtract the composite side, and
+    append its Violation to ``out`` unless nothing is left."""
+    g_n = taylor.get(len(idx))
+    if g_n is not None:
+        accumulate(total, target.d.apply(g_n.evaluate_indices(idx)))
+    accumulate_composites(total, src, idx, brackets, taylor, -1)
+    if total:
+        out.append(Violation(f"morphism_relation_{len(idx)}",
+                             tuple(src.labels[i] for i in idx),
+                             f"defect {Vector._owning(target.space, total)}"))
+
+
 def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
     """Morphism relations for every arity n <= up_to.
 
@@ -200,18 +216,8 @@ def check_morphism(m: LInftyMorphismToDgla, up_to: int) -> list:
         for idx in canonical_tuples(src, n, 2 - n, tgt.space.degrees):
             total = {}
             accumulate_bracket_halves(total, src, idx, m.taylor, tgt.bracket)
-            g_n = m.taylor.get(n)
-            if g_n is not None:
-                accumulate(total, tgt.d.apply(g_n.evaluate_indices(idx)))
-            # the right-hand side, moved over
-            accumulate_composites(total, src, idx, m.source.brackets,
-                                  m.taylor, -1)
-            defect = Vector(tgt.space, total)
-            if not defect.is_zero():
-                out.append(Violation(
-                    f"morphism_relation_{n}",
-                    tuple(src.labels[i] for i in idx),
-                    f"defect {defect}"))
+            _check_relation(out, total, src, idx, tgt, m.source.brackets,
+                            m.taylor)
     return out
 
 
@@ -235,13 +241,16 @@ class TransferResult:
 
 
 def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
-    """Shared recursion for the inclusion and bracket tables.
+    """Shared recursion for the inclusion and bracket tables, with the
+    inclusion's morphism relations checked in the same walk.
 
     Level p evaluates, on each canonical tuple of representatives, half
     the shuffle sum of brackets of lower inclusion values; applying the
     contracting homotopy gives the arity-p inclusion component and
-    applying the projection gives the arity-p bracket.  Levels run in
-    order, each one read-only over the frozen lower tables.
+    applying the projection gives the arity-p bracket.  That half-sum is
+    the left side of the arity-p relation there, which reads iota_p and
+    l_p only at the tuple itself, once set; d(iota_1 x) = 0 goes first.
+    Returns the tables and the failures in :func:`check_morphism` order.
     """
     H = s.h_space
     iota1 = MultilinearMap(H, A.space, 1, 0)
@@ -249,26 +258,29 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
         iota1.set_entry((j,), s.iota1.apply(H.basis_vector(j)))
     iota_tables = {1: iota1}
     bracket_tables = {}
+    failures = []
+    for idx in canonical_tuples(H, 1, 1, A.space.degrees):
+        _check_relation(failures, {}, H, idx, A, bracket_tables, iota_tables)
     for p in range(2, N + 1):
-        iota_p = MultilinearMap(H, A.space, p, 1 - p)
-        bracket_p = MultilinearMap(H, H, p, 2 - p)
+        iota_p = iota_tables[p] = MultilinearMap(H, A.space, p, 1 - p)
+        bracket_p = bracket_tables[p] = MultilinearMap(H, H, p, 2 - p)
         for idx in canonical_tuples(H, p, 2 - p, A.space.degrees):
             total = {}
             accumulate_bracket_halves(total, H, idx, iota_tables, A.bracket)
-            value = Vector(A.space, total)
-            if value.is_zero():
-                continue
-            homotopy_part = s.h.apply(value)
-            if not homotopy_part.is_zero():
-                iota_p.set_entry(idx, homotopy_part)
-            projected = s.pi.apply(value)
-            if not projected.is_zero():
-                bracket_p.set_entry(idx, projected)
-        if not iota_p.is_zero():
+            if total:
+                value = Vector._owning(A.space, dict(total))
+                homotopy_part = s.h.apply(value)
+                if not homotopy_part.is_zero():
+                    iota_p.set_entry(idx, homotopy_part)
+                projected = s.pi.apply(value)
+                if not projected.is_zero():
+                    bracket_p.set_entry(idx, projected)
+            _check_relation(failures, total, H, idx, A, bracket_tables,
+                            iota_tables)
+        if iota_p.is_zero():
             # a missing arity is zero to the level sums
-            iota_tables[p] = iota_p
-        bracket_tables[p] = bracket_p
-    return iota_tables, bracket_tables
+            del iota_tables[p]
+    return iota_tables, bracket_tables, failures
 
 
 def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
@@ -277,10 +289,11 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
     Requires a splitting that passes verification and N >= 2.  The result
     carries the minimal L-infinity structure on the representative space
     and the inclusion morphism, both computed up to arity N, and the
-    inclusion must satisfy the morphism relations up to arity N.  With
-    pi d = 0 checked and pi iota = id by construction, pi of the arity-2
-    relation is l_2 = pi[iota x, iota y], so that check also pins the
-    arity-2 bracket to the induced cohomology bracket.
+    inclusion must satisfy the morphism relations up to arity N, checked
+    as each level is built and named as :func:`check_morphism` names them.
+    With pi d = 0 checked and pi iota = id by construction, pi of the
+    arity-2 relation is l_2 = pi[iota x, iota y], so that check also pins
+    the arity-2 bracket to the induced cohomology bracket.
     """
     if N < 2:
         raise ValueError("transfer needs arity bound N >= 2")
@@ -291,14 +304,13 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
         details = "; ".join(v.identity for v in problems)
         raise ValueError(f"splitting fails verification: {details}")
 
-    iota_tables, bracket_tables = _level_tables(A, s, N)
-    # both constructors keep only the nonzero tables
-    minimal = LInftyAlgebra(s.h_space, bracket_tables, N)
-    inclusion = LInftyMorphismToDgla(minimal, A, iota_tables, N)
-    relation_failures = check_morphism(inclusion, N)
+    iota_tables, bracket_tables, relation_failures = _level_tables(A, s, N)
     if relation_failures:
         names = "; ".join(f"{v.identity} at {v.where}" for v in relation_failures)
         raise AssertionError(
             f"internal error: inclusion fails its morphism relations: {names}")
+    # both constructors keep only the nonzero tables
+    minimal = LInftyAlgebra(s.h_space, bracket_tables, N)
+    inclusion = LInftyMorphismToDgla(minimal, A, iota_tables, N)
     return TransferResult(A, s, minimal, inclusion, N)
 

@@ -172,6 +172,40 @@ def test_structured_output_shape(corpus_files, capsys):
     assert isinstance(payload["seconds"], float)
 
 
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": ()},
+    ("x", 1, [2, (3,)]),
+    {"by_degree": [[0, 1], [1, 2], [2, 1]], "kind": "dimensions"},
+    {"text": "H¹ ⊗ ω, tab\t, quote \", slash \\, \x00"},
+    {"z": True, "y": False, "x": None, "w": 0.25, "v": 1e-07, "u": -3,
+     "t": 123456.789},
+    [[[]], [{}], [[{"k": [None]}]]],
+    "plain", 7, 2.5, None, True,
+])
+def test_structured_rendering_is_json_dumps(value):
+    from gradedlie.cli import _dumps
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_structured_rendering_is_json_dumps_on_every_golden():
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+    assert len(golden) == 33
+    from gradedlie.cli import _dumps
+    for path in golden:
+        value = json.loads(path.read_text(encoding="utf-8"))
+        for report in (value, value["report"]):
+            assert _dumps(report) == json.dumps(report, sort_keys=True,
+                                                indent=2), path.name
+
+
+def test_structured_output_is_the_report_through_json_dumps(corpus_files,
+                                                            capsys):
+    code, out, _ = run(capsys, "transfer", corpus_files["weighted-pair"],
+                       "--format", "structured")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/nowhere.alg")
     assert code == 2
@@ -245,14 +279,25 @@ def counting(monkeypatch, name, *modules):
 
 def test_transfer_checks_the_morphism_relations_once(corpus_files, capsys,
                                                      monkeypatch):
+    # the relations are checked in the walk that builds each level: no
+    # separate check_morphism pass, and one walk per arity 1..N
     import gradedlie.cli
     import gradedlie.linfty
     calls = counting(monkeypatch, "check_morphism", gradedlie.linfty,
                      gradedlie.cli)
-    code, out, _ = run(capsys, "transfer", corpus_files["nocontraction"])
+    walks = []
+    original = gradedlie.linfty.canonical_tuples
+
+    def recording(space, arity, *rest):
+        walks.append(arity)
+        return original(space, arity, *rest)
+    monkeypatch.setattr(gradedlie.linfty, "canonical_tuples", recording)
+    code, out, _ = run(capsys, "transfer", corpus_files["nocontraction"],
+                       "--arity", "4")
     assert code == 0
-    assert calls == ["check_morphism"]
-    assert "morphism relations to arity" in out and ": 0 violations" in out
+    assert calls == []
+    assert walks == [1, 2, 3, 4]
+    assert "morphism relations to arity 4: 0 violations" in out
 
 
 def test_formality_transfers_once(corpus_files, capsys, monkeypatch):

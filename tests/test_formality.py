@@ -510,45 +510,46 @@ def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
 def test_a_non_equivariant_lower_inclusion_fails_the_transfer(monkeypatch):
     # why the builder checks only iota_N for equivariance: below N it is
     # the arity-(p+1) relation at (g, idx), and the transfer checks that
-    original = linfty._level_tables
+    Q, s = _symplectic_plane()
+    H = s.h_space
+    v1 = H.index("v1")
 
-    def planted(A, splitting, N):
-        iota_tables, bracket_tables = original(A, splitting, N)
-        H = splitting.h_space
-        v1 = H.index("v1")
+    class Planted(MultilinearMap):
         # g acts by -1 on v1 and +1 on v2: equivariance at (v1, v1) asks
         # [iota_2(v1, v1), g] = -2 iota_2(v1, v1), and v2 gives +v2
-        iota2 = iota_tables.setdefault(2, MultilinearMap(H, A.space, 2, -1))
-        iota2.set_entry((v1, v1), A.basis_vector("v2"))
-        return iota_tables, bracket_tables
-    monkeypatch.setattr(linfty, "_level_tables", planted)
+        def __init__(self, domain, codomain, arity, degree):
+            super().__init__(domain, codomain, arity, degree)
+            if arity == 2 and degree == -1:
+                self.set_entry((v1, v1), Q.algebra.basis_vector("v2"))
+    monkeypatch.setattr(linfty, "MultilinearMap", Planted)
     builds = []
     monkeypatch.setattr(formality, "_build_degree_two_witness",
                         lambda *args: builds.append(args))
-    Q, s = _symplectic_plane()
     with pytest.raises(AssertionError) as info:
         build_formality_witness(*prepared(Q, s), 3)
-    # (v1, v1, v1) fails too: [iota_2(v1, v1), v1] = [v2, v1] is a new term
+    # level 3 is built from the planted iota_2, so only the relation at
+    # (g, v1, v1) sees it
     assert str(info.value) == (
         "internal error: inclusion fails its morphism relations: "
-        "morphism_relation_3 at ('g', 'v1', 'v1'); "
-        "morphism_relation_3 at ('v1', 'v1', 'v1')")
+        "morphism_relation_3 at ('g', 'v1', 'v1')")
     assert builds == []
+
+
+def _plant_coefficient(monkeypatch):
+    # every coefficient solves to zero on the symplectic plane; the solve
+    # at (v1, v1, v2) is shifted by v2 as the f_3 table is created
+    class Planted(MultilinearMap):
+        def __init__(self, domain, codomain, arity, degree):
+            super().__init__(domain, codomain, arity, degree)
+            if arity == 3:
+                self.set_entry(("v1", "v1", "v2"),
+                               codomain.basis_vector("v2"))
+    monkeypatch.setattr(formality, "MultilinearMap", Planted)
 
 
 def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
     Q, s = _symplectic_plane()
-    original = formality.solve_dense
-    solves = []
-
-    def planted(rows, rhs):
-        solution, kernel = original(rows, rhs)
-        solves.append(rhs)
-        if len(solves) == 2:
-            # the second solve is at (v1, v1, v2); columns are (v1, v2)
-            solution = [solution[0], solution[1] + 1]
-        return solution, kernel
-    monkeypatch.setattr(formality, "solve_dense", planted)
+    _plant_coefficient(monkeypatch)
     assert _witness_failure(Q, s, 3) == (
         "witness coefficient f_3 fails equivariance at ('v1', 'v1', 'v2') "
         "under g: v2 vs -v2")
@@ -635,20 +636,25 @@ def test_planted_coefficient_below_the_top_fails_the_independent_check(
         monkeypatch):
     # the same planted f_3 as above, now below the top arity: its
     # equivariance is the arity-4 relation at (g, v1, v1, v2)
-    original = formality.solve_dense
-    solves = []
-
-    def planted(rows, rhs):
-        solution, kernel = original(rows, rhs)
-        solves.append(rhs)
-        if len(solves) == 2:
-            solution = [solution[0], solution[1] + 1]
-        return solution, kernel
-    monkeypatch.setattr(formality, "solve_dense", planted)
+    _plant_coefficient(monkeypatch)
     Q, s = _symplectic_plane()
     assert _verdict_leftovers(Q, 4) == [
         "morphism_relation_4 fails at (g, v1, v1, v2): defect -2*v2",
         "morphism_relation_4 fails at (v1, v1, v1, v2): defect 3*g^"]
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+def test_a_degenerate_gram_matrix_stops_the_coefficient_solves(monkeypatch,
+                                                                constant):
+    # the pairing of the degree-1 classes made zero, or of rank one
+    Q, s = _symplectic_plane()
+    args = prepared(Q, s)
+    monkeypatch.setattr(Q.pairing, "evaluate", lambda u, v: constant)
+    with pytest.raises(AssertionError) as info:
+        build_formality_witness(*args, 3)
+    assert str(info.value).startswith(
+        "induced pairing is degenerate on the degree-1 classes; the "
+        "coefficient solves cannot be unique -- ")
 
 
 def test_hollow_inclusion_functionals_fail_the_independent_check(monkeypatch):

@@ -250,6 +250,45 @@ def test_planted_defect_is_reported_like_the_full_double_sum():
     assert morphism_violations_naive(T.inclusion, 4) == []
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("kind", ["inclusion", "bracket"])
+def test_a_wrong_level_entry_fails_the_transfer_like_the_full_double_sum(
+        monkeypatch, seed, p, kind):
+    """The relations checked in the level walk are those of the tables the
+    walk leaves behind: with every arity-p entry of one table doubled as
+    it is stored, the transfer names exactly the violations, in order,
+    that the brute-force morphism check finds on the corrupted tables."""
+    A = random_two_step(random.Random(seed))
+    s = compute_splitting(A)
+    planted_degree = 1 - p if kind == "inclusion" else 2 - p
+    made = {}
+
+    class Doubling(MultilinearMap):
+        def __init__(self, domain, codomain, arity, degree):
+            super().__init__(domain, codomain, arity, degree)
+            made[arity, degree] = self
+            self.planted = arity == p and degree == planted_degree
+
+        def set_entry(self, key, value):
+            super().set_entry(key, value.scale(2) if self.planted else value)
+    monkeypatch.setattr(linfty, "MultilinearMap", Doubling)
+    with pytest.raises(AssertionError) as info:
+        homotopy_transfer(A, s, 4)
+    monkeypatch.undo()
+    assert not made[p, planted_degree].is_zero()
+    minimal = LInftyAlgebra(s.h_space,
+                            {n: made[n, 2 - n] for n in range(2, 5)}, 4)
+    inclusion = LInftyMorphismToDgla(
+        minimal, A, {n: made[n, 1 - n] for n in range(1, 5)}, 4)
+    naive = morphism_violations_naive(inclusion, 4)
+    assert len(naive) > 1
+    names = "; ".join(f"{identity} at {where}"
+                      for identity, where, _ in naive)
+    assert str(info.value) == (
+        f"internal error: inclusion fails its morphism relations: {names}")
+
+
 def test_transferred_structures_verify_to_arity_five():
     for name, Q in standard_corpus():
         T = homotopy_transfer(Q.algebra, compute_splitting(Q.algebra), 5)
@@ -284,7 +323,7 @@ def test_ternary_class_is_independent_of_the_splitting_choice():
 # --- entry points and errors ----------------------------------------------------
 
 def test_transfer_evaluates_only_tuples_with_a_degree_to_land_in(monkeypatch):
-    """Each level and morphism relation of arity n gets exactly the
+    """Each level of arity n, with its morphism relation, gets exactly the
     canonical tuples whose degree sum + 2 - n is a degree of the algebra;
     the generalized Jacobi check of a model in degrees 1-2 gets none,
     its defects sitting in degree 3 or more."""
@@ -316,10 +355,9 @@ def test_transfer_evaluates_only_tuples_with_a_degree_to_land_in(monkeypatch):
                            for a, b in zip(idx, idx[1:]))
                 and sum(H.degrees[i] for i in idx) + shift in degrees]
 
-    expected = [landing(n, 2 - n, A.space.degrees) for n in range(2, 5)]
-    assert by_loop["_level_tables"] == expected
-    assert by_loop["check_morphism"] == [landing(1, 1, A.space.degrees)] \
-        + expected
+    # the arity-1 relation, then each level with its relation: one walk
+    expected = [landing(n, 2 - n, A.space.degrees) for n in range(1, 5)]
+    assert by_loop == {"_level_tables": expected}
     assert walked and all(shift == 3 - n for n, shift in walked)
     assert all(items == [] for runs in walked.values() for items in runs)
 
@@ -339,3 +377,21 @@ def test_transfer_rejects_bad_inputs():
                        [V.basis_vector("b"), V.basis_vector("p")])
     with pytest.raises(ValueError, match="splitting fails verification"):
         homotopy_transfer(A, broken, 3)
+
+
+def test_a_non_cocycle_representative_fails_the_arity_one_relation(
+        monkeypatch):
+    # verify_splitting refuses this splitting first; past it, the transfer's
+    # own check of d(iota_1 x) = 0 names the representative x + p
+    A = nocontraction().algebra
+    V = A.space
+    broken = Splitting(A, [V.basis_vector("a"),
+                           V.basis_vector("x") + V.basis_vector("p"),
+                           V.basis_vector("y"), V.basis_vector("z")],
+                       [V.basis_vector("b"), V.basis_vector("p")])
+    monkeypatch.setattr(linfty, "verify_splitting", lambda s: [])
+    with pytest.raises(AssertionError) as info:
+        homotopy_transfer(A, broken, 3)
+    assert str(info.value) == (
+        "internal error: inclusion fails its morphism relations: "
+        "morphism_relation_1 at ('x + p',)")
