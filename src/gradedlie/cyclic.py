@@ -2,16 +2,18 @@
 
 A pairing here is a graded-symmetric bilinear form of fixed total degree
 that is compatible with the differential (closed) and with the bracket
-(cyclic).  Strictly cyclic means non-degenerate on the whole algebra;
-quasi-cyclic only demands non-degeneracy of the induced form on
-cohomology.  The module also provides the symplectic-representation
-constructor for degree-2 instances with zero differential, and the
-normalization that replaces the complement K of a splitting by one
-orthogonal to the representatives.
+(cyclic), one identity checked in one sparse scan over the Gram rows.
+Strictly cyclic means non-degenerate on the whole algebra; quasi-cyclic
+only demands non-degeneracy of the induced form on cohomology.  The
+module also provides the symplectic-representation constructor for
+degree-2 instances with zero differential, and the normalization that
+replaces the complement K of a splitting by one orthogonal to the
+representatives.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .core import (
@@ -98,12 +100,15 @@ class CyclicPairing:
                     total += cu * cv * val
         return as_scalar(total)
 
-    def gram_rows(self):
-        n = self.space.dim
-        return [[self.value_indices(i, j) for j in range(n)] for i in range(n)]
-
-    def rank(self) -> int:
-        return len(rref(self.gram_rows())[1])
+    def rows(self) -> list:
+        """Sparse Gram rows, row a holding (e_a, e_b) at b; built afresh on
+        each call, as ``corpus.perturb_quasi_cyclic`` writes ``table``."""
+        degrees = self.space.degrees
+        rows = [{} for _ in range(self.space.dim)]
+        for (i, j), value in self.table.items():
+            rows[j][i] = -value if degrees[i] % 2 and degrees[j] % 2 else value
+            rows[i][j] = value
+        return [Vector(self.space, row) for row in rows]
 
     def entries(self):
         return sorted(self.table.items())
@@ -167,34 +172,22 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     Graded symmetry and the total degree are enforced by
     :class:`CyclicPairing` itself, which folds each entry onto its
     canonical pair with the symmetry sign and refuses wrong-degree and
-    odd-diagonal entries, so no form can fail them here.  The other
-    identities are evaluated exactly on basis tuples; failures are
-    collected as violations, never raised.  The induced form on
-    cohomology uses the given splitting's representatives (a canonical
-    splitting is computed when none is supplied).
+    odd-diagonal entries, so no form can fail them here.  Closedness and
+    cyclicity are one identity, checked by one scan of the Gram rows
+    (:func:`_compatibility_violations`) that also give the rank on L;
+    failures are collected as violations, never raised.  The induced
+    form on cohomology uses the given splitting's representatives (a
+    canonical splitting is computed when none is supplied).
     """
     A, form = Q.algebra, Q.pairing
-    space = A.space
-    out = []
-    d_images = [A.d.apply(space.basis_vector(j)) for j in range(space.dim)]
-    for i in range(space.dim):
-        ei = space.basis_vector(i)
-        dei = d_images[i]
-        sign = (-1) ** (space.degrees[i] + 1)
-        for j in range(space.dim):
-            ej = space.basis_vector(j)
-            defect = form.evaluate(dei, ej) - sign * form.evaluate(ei, d_images[j])
-            if defect:
-                out.append(Violation("pairing_closed",
-                                     (space.labels[i], space.labels[j]),
-                                     f"defect {defect}"))
-    out.extend(_cyclicity_violations(A.bracket, form))
+    rows = form.rows()
+    out = _compatibility_violations(A.operations(), rows)
 
     s = splitting if splitting is not None else compute_splitting(A)
     reps = s.h_vectors
     induced = [[form.evaluate(u, v) for v in reps] for u in reps]
     rank_h = len(rref(induced)[1]) if reps else 0
-    rank_l = form.rank()
+    rank_l = len(rref([row.dense() for row in rows])[1])
 
     # consequences of closedness, asserted against the splitting
     for dk in s.dk_vectors:
@@ -211,7 +204,7 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     return PairingReport(
         degree=form.degree,
         cyclic_on_L=clean,
-        nondegenerate_on_L=(rank_l == space.dim),
+        nondegenerate_on_L=(rank_l == len(rows)),
         nondegenerate_on_H=(rank_h == len(reps)),
         rank_on_L=rank_l,
         rank_on_H=rank_h,
@@ -219,44 +212,46 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     )
 
 
-def _cyclicity_violations(bracket: MultilinearMap, form: CyclicPairing) -> list:
-    """Every basis triple (i, j, k) where ([e_i, e_j], e_k) != (e_i, [e_j, e_k]).
+def _compatibility_violations(ops: dict, rows: list) -> list:
+    """Every basis tuple where (op(e_i, rest), e_k) != eps (e_i, op(rest, e_k)).
 
-    The defect at (i, j, k) is the coefficient of k in
-    sum_a [e_i, e_j]_a * row_a  minus  sum_b row_i[b] * col_j^b,
-    where row_a lists the pairing values (e_a, e_b) and col_j^b lists, over
-    k, the coefficient of e_b in [e_j, e_k].  Both sums are sparse, so
-    only triples where one side is nonzero are visited, and the defect
-    can be nonzero nowhere else: the check stays exhaustive.  Violations
-    come out in (i, j, k) order.
+    With eps = (-1)^{deg(op) (|i|+1)}, this is closedness for op = d
+    (``ops[1]``, rest empty) and cyclicity for the bracket (``ops[2]``,
+    rest = (j,)).  The defect is the coefficient of k in
+    sum_a op(e_i, rest)_a * row_a  minus  eps * sum_b row_i[b] * col^b,
+    where col^b lists, over k, the coefficient of e_b in op(rest, e_k).
+    Both sums are sparse, so only tuples where one side is nonzero are
+    visited, and the defect can be nonzero nowhere else: the check stays
+    exhaustive.  Violations come out as ``pairing_closed`` in (i, k)
+    order, then ``pairing_cyclic`` in (i, j, k) order.
     """
-    space = form.space
-    dim = space.dim
-    rows = [Vector(space, {b: form.value_indices(a, b) for b in range(dim)})
-            for a in range(dim)]
-    cols = [{} for _ in range(dim)]
-    for j in range(dim):
-        for k in range(dim):
-            for b, c in bracket.evaluate_indices((j, k)).coeffs.items():
-                cols[j].setdefault(b, {})[k] = c
-    cols = [{b: Vector(space, col) for b, col in by_b.items()} for by_b in cols]
     out = []
-    for i in range(dim):
-        row_i = rows[i].coeffs.items()
-        for j in range(dim):
-            acc = {}
-            for a, c in bracket.evaluate_indices((i, j)).coeffs.items():
-                accumulate(acc, rows[a], c)
-            col_j = cols[j]
-            for b, c in row_i:
-                col = col_j.get(b)
-                if col is not None:
-                    accumulate(acc, col, -c)
-            for k in sorted(acc):
-                out.append(Violation(
-                    "pairing_cyclic",
-                    (space.labels[i], space.labels[j], space.labels[k]),
-                    f"defect {acc[k]}"))
+    for identity, op in (("pairing_closed", ops[1]), ("pairing_cyclic", ops[2])):
+        space = op.domain
+        rests = list(itertools.product(range(space.dim), repeat=op.arity - 1))
+        cols = {}
+        for rest in rests:
+            by_b = {}
+            for k in range(space.dim):
+                for b, c in op.evaluate_indices(rest + (k,)).coeffs.items():
+                    by_b.setdefault(b, {})[k] = c
+            cols[rest] = {b: Vector(space, col) for b, col in by_b.items()}
+        for i, row in enumerate(rows):
+            eps = -1 if op.degree * (space.degrees[i] + 1) % 2 else 1
+            row_i = row.coeffs.items()
+            for rest in rests:
+                acc = {}
+                for a, c in op.evaluate_indices((i,) + rest).coeffs.items():
+                    accumulate(acc, rows[a], c)
+                col = cols[rest]
+                for b, c in row_i:
+                    col_b = col.get(b)
+                    if col_b is not None:
+                        accumulate(acc, col_b, -eps * c)
+                for k in sorted(acc):
+                    out.append(Violation(
+                        identity, tuple(space.labels[t] for t in (i,) + rest + (k,)),
+                        f"defect {acc[k]}"))
     return out
 
 

@@ -371,6 +371,24 @@ def contraction_violations_naive(splitting):
     return out
 
 
+def pairing_closed_violations_naive(Q):
+    """(d e_i, e_j) - (-1)^{|i|+1} (e_i, d e_j) on all dim^2 ordered basis
+    pairs, as (labels, defect text) in (i, j) order."""
+    A, form = Q.algebra, Q.pairing
+    space = A.space
+    images = [A.d.apply(space.basis_vector(j)) for j in range(space.dim)]
+    out = []
+    for i in range(space.dim):
+        sign = (-1) ** (space.degrees[i] + 1)
+        for j in range(space.dim):
+            defect = (form.evaluate(images[i], space.basis_vector(j))
+                      - sign * form.evaluate(space.basis_vector(i), images[j]))
+            if defect:
+                out.append(((space.labels[i], space.labels[j]),
+                            f"defect {defect}"))
+    return out
+
+
 def pairing_cyclic_violations_naive(Q):
     """([e_i, e_j], e_k) - (e_i, [e_j, e_k]) on all dim^3 ordered basis
     triples, as (labels, defect text) in (i, j, k) order."""

@@ -9,7 +9,7 @@ from gradedlie.core import coordinates_in_span
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
     SymplecticRepresentation, from_symplectic_representation,
-    _cyclicity_violations, normalize_splitting, validate_pairing,
+    _compatibility_violations, normalize_splitting, validate_pairing,
 )
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
 from gradedlie.formality import build_formality_witness, verify_witness
@@ -21,7 +21,7 @@ from gradedlie.corpus import (
 
 from oracles import (
     assert_exact_scalar, build_algebra, lie_jacobi_cyclic_sums_naive,
-    pairing_cyclic_violations_naive,
+    pairing_closed_violations_naive, pairing_cyclic_violations_naive,
 )
 
 
@@ -140,6 +140,16 @@ def test_degree_two_bracket_sign_is_forced():
     V = shipped.space
     assert repr(shipped.algebra.bracket_of(
         V.basis_vector("a"), V.basis_vector("x"))) == "-db"
+
+
+def test_gram_rows_follow_direct_table_writes():
+    Q = nocontraction()
+    form = CyclicPairing(Q.space, 2, dict(Q.pairing.entries()))
+    i, j = Q.space.index("x"), Q.space.index("y")  # odd-odd: (y, x) = -(x, y)
+    assert form.rows()[j].coefficient(i) == 1 == -form.rows()[i].coefficient(j)
+    form.table[(i, j)] = 2
+    assert form.rows()[i].coefficient(j) == 2
+    assert form.rows()[j].coefficient(i) == -2
 
 
 def test_closedness_failure_is_reported_with_its_pair():
@@ -383,7 +393,7 @@ def test_perturbations_are_caught_or_legitimately_valid():
     assert caught >= 6
 
 
-# --- the sparse cyclicity check against the dense reference -------------------
+# --- the sparse compatibility scan against the dense references ---------------
 
 CORPUS = standard_corpus()
 
@@ -397,15 +407,20 @@ def test_cyclicity_violations_agree_with_the_dense_triple_loop(named, edits, rng
     d = Q.algebra.d
     if all(d.apply(column).is_zero() for column in d.columns.values()):
         violations = validate_pairing(Q).violations
-    else:  # no splitting exists; check the cyclicity pass on its own
-        violations = _cyclicity_violations(Q.algebra.bracket, Q.pairing)
-    got = [(v.where, v.detail) for v in violations
-           if v.identity == "pairing_cyclic"]
-    assert got == pairing_cyclic_violations_naive(Q), name
+    else:  # no splitting exists; check the scan on its own
+        violations = _compatibility_violations(Q.algebra.operations(),
+                                               Q.pairing.rows())
+    for identity, naive in (("pairing_closed", pairing_closed_violations_naive),
+                            ("pairing_cyclic", pairing_cyclic_violations_naive)):
+        got = [(v.where, v.detail) for v in violations
+               if v.identity == identity]
+        assert got == naive(Q), (identity, name)
     V = Q.space
+    rows = Q.pairing.rows()
     for i in range(V.dim):
         for j in range(V.dim):
             assert_exact_scalar(Q.pairing.value_indices(i, j))
+            assert rows[i].coefficient(j) == Q.pairing.value_indices(i, j)
             assert_exact_scalar(Q.pairing.evaluate(
                 V.basis_vector(i).scale(rng.choice([1, Fraction(1, 2)])),
                 V.basis_vector(j).scale(2)))
