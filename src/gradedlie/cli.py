@@ -344,7 +344,15 @@ def _finding_text(f) -> str:
 
 def _dumps(value, indent="\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, but
-    with no pure-Python encoder, which ``json`` runs given an indent."""
+    with no pure-Python encoder, which ``json`` runs given an indent.
+    str, int, None and bool go by exact class, the rest as ``json`` does."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None or cls is bool:
+        return {None: "null", True: "true", False: "false"}[value]
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{inner}{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
@@ -353,8 +361,6 @@ def _dumps(value, indent="\n") -> str:
     if isinstance(value, (list, tuple)):
         items = [inner + _dumps(v, inner) for v in value]
         return "[" + ",".join(items) + indent + "]" if items else "[]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 

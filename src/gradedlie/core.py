@@ -18,6 +18,7 @@ yet.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,22 +64,26 @@ def format_scalar(x) -> str:
 # Signs and shuffles
 # ---------------------------------------------------------------------------
 
-def _koszul_sort(seq, degree_of):
+def _koszul_sort(seq, parities):
     """Stable insertion sort of ``seq`` with the Koszul sign it picks up.
 
-    Returns ``(sorted list, sign)``.  Each adjacent swap of elements of
-    degrees a, b contributes ``-(-1)**(a*b)``.
+    ``parities[x]`` is the degree parity of element x.  Returns ``(sorted
+    tuple, sign)``, or ``(None, 0)`` when an even element repeats.  Each
+    adjacent swap of elements of degrees a, b contributes ``-(-1)**(a*b)``.
     """
     seq = list(seq)
     sign = 1
     for i in range(1, len(seq)):
         j = i
         while j > 0 and seq[j - 1] > seq[j]:
-            if degree_of(seq[j - 1]) % 2 == 0 or degree_of(seq[j]) % 2 == 0:
+            if not (parities[seq[j - 1]] and parities[seq[j]]):
                 sign = -sign
             seq[j - 1], seq[j] = seq[j], seq[j - 1]
             j -= 1
-    return seq, sign
+    for a, b in zip(seq, seq[1:]):
+        if a == b and not parities[a]:
+            return None, 0
+    return tuple(seq), sign
 
 
 def koszul_sign(perm, degrees) -> int:
@@ -96,7 +101,7 @@ def koszul_sign(perm, degrees) -> int:
         raise ValueError("permutation and degree list have different lengths")
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    return _koszul_sort(perm, degrees.__getitem__)[1]
+    return _koszul_sort(perm, [d % 2 for d in degrees])[1]
 
 
 @lru_cache(maxsize=None)
@@ -227,14 +232,10 @@ def sort_basis_tuple(indices, degree_of):
     Koszul factors as :func:`koszul_sign`, or ``(None, 0)`` when the tuple
     repeats an even-degree index and is therefore forced to vanish.
     """
-    seq, sign = _koszul_sort(indices, degree_of)
-    for a, b in zip(seq, seq[1:]):
-        if a == b and degree_of(a) % 2 == 0:
-            return None, 0
-    return tuple(seq), sign
+    return _koszul_sort(indices, {i: degree_of(i) % 2 for i in indices})
 
 
-def canonical_tuples(space, arity, shift=None, degrees=None):
+def canonical_tuples(space, arity, shift=None, degrees=None) -> tuple:
     """Canonical basis-index tuples of a given arity, in sorted order.
 
     Weakly increasing tuples, skipping those that repeat an even-degree
@@ -252,9 +253,16 @@ def canonical_tuples(space, arity, shift=None, degrees=None):
     a prefix is kept only while one of them completes a target degree: no
     infeasible tuple or prefix is visited, and a space with no feasible
     tuple costs only the table.  Without a shift every reachable sum is
-    a target.
+    a target.  The tuples are computed once per (degrees, arity, shifted
+    targets), as :func:`shuffle_splits` terms are.
     """
-    degs = space.degrees
+    targets = None if shift is None else frozenset(
+        t - shift for t in (space.degrees if degrees is None else degrees))
+    return _canonical_tuples(space.degrees, arity, targets)
+
+
+@lru_cache(maxsize=None)
+def _canonical_tuples(degs, arity, targets) -> tuple:
     dim = len(degs)
     # next_start[i]: where the entry after index i may start (an odd index
     # may repeat); reach[r][i]: degree sums of canonical r-tuples >= i
@@ -267,13 +275,10 @@ def canonical_tuples(space, arity, shift=None, degrees=None):
             d = degs[i]
             row[i] = row[i + 1].union([d + s for s in below[next_start[i]]])
         reach.append(row)
-    if shift is None:
+    if targets is None:
         targets = reach[arity][0]
-    else:
-        targets = frozenset(t - shift for t in
-                            (degs if degrees is None else degrees))
     if targets.isdisjoint(reach[arity][0]):
-        return
+        return ()
     # frontier of feasible sorted prefixes: (prefix, next start, degree sum);
     # the feasible next entries depend only on (next start, degree sum)
     frontier = [((), 0, 0)]
@@ -296,8 +301,7 @@ def canonical_tuples(space, arity, shift=None, degrees=None):
                         options.append(((j,), nxt, s))
             grown += [(prefix + j, nxt, s) for j, nxt, s in options]
         frontier = grown
-    for prefix, _, _ in frontier:
-        yield prefix
+    return tuple([prefix for prefix, _, _ in frontier])
 
 
 def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
@@ -308,13 +312,14 @@ def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
     (k, n-k)-shuffle sum of the Koszul sign times
     outer_(n-k+1)(inner_k(first block), rest), with ``inner_ops`` and
     ``outer_ops`` mapping arity to :class:`MultilinearMap` (a missing
-    arity is zero).  The outer operation is linear in its first slot, so
-    it is read off its table once per coefficient of the inner value.
-    The shuffles go through :func:`shuffle_splits`; ``total`` is a
-    coefficient dict owned by the caller, as for :func:`accumulate`.
+    arity is zero).  The inner value is read off its table at the sorted
+    first block; the outer operation, linear in its first slot, at the
+    sorted tail with each coefficient index i of it inserted, the sign of
+    that move going into the factor.  The shuffles go through
+    :func:`shuffle_splits`; ``total`` is a caller-owned coefficient dict.
     """
     n = len(idx)
-    parities = tuple([space.degrees[i] % 2 for i in idx])
+    parities = tuple([space.parities[i] for i in idx])
     repeats = repeat_pattern(idx)
     for k in range(1, n + 1):
         inner = inner_ops.get(k)
@@ -322,13 +327,27 @@ def accumulate_composites(total: dict, space, idx, inner_ops, outer_ops,
         if inner is None or outer is None:
             continue
         sign = -factor if (n - k) % 2 else factor
+        inner_table, outer_table = inner.table, outer.table
+        outer_parities = outer.domain.parities
         for first, rest, c in shuffle_splits(k, n - k, parities, repeats):
-            head = inner.evaluate_indices(tuple([idx[s] for s in first]))
+            head = inner_table.get(tuple([idx[s] for s in first]))
+            if head is None:
+                continue
             tail = tuple([idx[s] for s in rest])
             scale = c * sign
             for i, a in head.coeffs.items():
-                accumulate(total, outer.evaluate_indices((i,) + tail),
-                           a * scale)
+                # each swap past a smaller entry is -1 unless both are odd
+                pos = bisect_left(tail, i)
+                odd = outer_parities[i]
+                if not odd and pos < n - k and tail[pos] == i:
+                    continue
+                s = scale
+                for t in tail[:pos]:
+                    if not (odd and outer_parities[t]):
+                        s = -s
+                value = outer_table.get(tail[:pos] + (i,) + tail[pos:])
+                if value is not None:
+                    accumulate(total, value, a * s)
 
 
 def accumulate_bracket_halves(total: dict, space, idx, maps,
@@ -338,22 +357,23 @@ def accumulate_bracket_halves(total: dict, space, idx, maps,
     Over k = 1..n-1 (n = len(idx)), the twisted (k, n-k)-shuffle sum of
     bracket(F_k(first block), F_(n-k)(second block)), with ``maps``
     mapping arity to F_k (a missing arity is zero); each split and its
-    block swap are evaluated once, through :func:`half_sum_splits`.
-    ``total`` is a caller-owned coefficient dict, as for :func:`accumulate`.
+    block swap are evaluated once, through :func:`half_sum_splits`, with
+    F_k read off its table.  ``total`` is a caller-owned coefficient dict.
     """
     n = len(idx)
-    parities = tuple([space.degrees[i] % 2 for i in idx])
+    parities = tuple([space.parities[i] for i in idx])
     for k, terms in half_sum_splits(n, parities, repeat_pattern(idx)):
         f_k = maps.get(k)
         f_rest = maps.get(n - k)
         if f_k is None or f_rest is None:
             continue
+        left_table, right_table = f_k.table, f_rest.table
         for first, second, c in terms:
-            left = f_k.evaluate_indices(tuple([idx[s] for s in first]))
-            if left.is_zero():
+            left = left_table.get(tuple([idx[s] for s in first]))
+            if left is None or not left.coeffs:
                 continue
-            right = f_rest.evaluate_indices(tuple([idx[s] for s in second]))
-            if right.is_zero():
+            right = right_table.get(tuple([idx[s] for s in second]))
+            if right is None or not right.coeffs:
                 continue
             accumulate(total, bracket.evaluate([left, right]), c)
 
@@ -421,6 +441,7 @@ class GradedVectorSpace:
             raise ValueError(f"duplicate basis label: {dup!r}")
         self.labels = labels
         self.degrees = tuple(degree for _, degree in basis)
+        self.parities = tuple(degree % 2 for degree in self.degrees)
         self._index = {label: i for i, label in enumerate(labels)}
         self._basis = tuple(Vector._owning(self, {i: 1})
                             for i in range(len(labels)))
@@ -434,9 +455,6 @@ class GradedVectorSpace:
             return self._index[label]
         except KeyError:
             raise KeyError(f"no basis element {label!r}") from None
-
-    def degree_of(self, i: int) -> int:
-        return self.degrees[i]
 
     def indices_of_degree(self, d: int):
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
@@ -609,7 +627,7 @@ class LinearMap:
         return cls(domain, codomain, degree, {})
 
     def apply(self, vec: Vector) -> Vector:
-        if vec.space != self.domain:
+        if vec.space is not self.domain and vec.space != self.domain:
             raise ValueError("vector not in the domain of this map")
         acc = {}
         columns = self.columns
@@ -658,9 +676,9 @@ class MultilinearMap:
     degrees).  Evaluation at permuted or non-canonical arguments picks up
     the Koszul sign of the sorting permutation.
 
-    Signed values are cached per argument tuple as they are looked up, so
-    a repeated tuple skips the sort.  ``table`` is written only through
-    :meth:`set_entry`, which drops that cache.
+    Lookups read ``table`` as stored, and the sign of a permuted key goes
+    into the factor its value is added with, so a direct write to
+    ``table`` shows in the next evaluation.
     """
 
     def __init__(self, domain, codomain, arity, degree):
@@ -669,19 +687,21 @@ class MultilinearMap:
         self.arity = int(arity)
         self.degree = int(degree)
         self.table = {}
-        self._signed = {}
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
-    def _resolve(self, key):
-        return tuple(i if isinstance(i, int) else self.domain.index(i) for i in key)
-
     def canonical_key(self, key):
         """(canonical tuple, sign); (None, 0) for a forced-zero tuple."""
-        idx = self._resolve(key)
-        if len(idx) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(idx)}")
-        return sort_basis_tuple(idx, self.domain.degree_of)
+        if key.__class__ is not tuple:
+            key = tuple(key)
+        for i in key:
+            if i.__class__ is not int:  # a label: resolve the key
+                key = tuple(i if isinstance(i, int) else self.domain.index(i)
+                            for i in key)
+                break
+        if len(key) != self.arity:
+            raise ValueError(f"expected {self.arity} arguments, got {len(key)}")
+        return _koszul_sort(key, self.domain.parities)
 
     def set_entry(self, key, value: Vector):
         canon, sign = self.canonical_key(key)
@@ -690,13 +710,13 @@ class MultilinearMap:
                 raise ValueError(
                     "cannot assign a nonzero value on a repeated even-degree entry")
             return
-        if value.space != self.codomain:
+        if value.space is not self.codomain and value.space != self.codomain:
             raise ValueError("entry value lies in the wrong space")
-        value = value.scale(sign)
         if value.is_zero():
-            self._signed = {}
             self.table.pop(canon, None)
             return
+        if sign != 1:
+            value = -value
         expected = sum(self.domain.degrees[i] for i in canon) + self.degree
         for j in value.coeffs:
             if self.codomain.degrees[j] != expected:
@@ -708,56 +728,53 @@ class MultilinearMap:
             raise ValueError(
                 f"conflicting assignments at {self.labels_of(canon)}: "
                 f"{stored} vs {value}")
-        self._signed = {}
         self.table[canon] = value
 
     def labels_of(self, key):
         return tuple(self.domain.labels[i] for i in key)
 
-    def _signed_value(self, key: tuple) -> Vector:
-        """Look up ``key`` in any order, with its sign, and cache the value."""
+    def _lookup(self, key):
+        """(stored value at ``key`` in any order or None, its sign)."""
         canon, sign = self.canonical_key(key)
-        value = None if canon is None else self.table.get(canon)
-        if value is None:
-            value = self.codomain.zero()
-        elif sign != 1:
-            value = -value
-        self._signed[key] = value
-        return value
+        return (None, 0) if canon is None else (self.table.get(canon), sign)
 
     def evaluate_indices(self, key) -> Vector:
-        if key.__class__ is not tuple:
-            key = tuple(key)
-        value = self._signed.get(key)
-        return value if value is not None else self._signed_value(key)
+        value, sign = self._lookup(key)
+        if value is None:
+            return self.codomain.zero()
+        return value if sign == 1 else -value
 
     def evaluate(self, args) -> Vector:
         """Multilinear evaluation at arbitrary vectors of the domain."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+        domain = self.domain
         for a in args:
-            if not isinstance(a, Vector) or a.space != self.domain:
+            if not isinstance(a, Vector) or (a.space is not domain
+                                             and a.space != domain):
                 raise ValueError("argument outside the domain space")
         acc = {}
-        signed = self._signed
+        table = self.table
         if self.arity == 2:
             # the bracket: most evaluations, so no product() or key building
+            parities = domain.parities
             left, right = args
             for i, a in left.coeffs.items():
+                odd = parities[i]
                 for j, b in right.coeffs.items():
-                    value = signed.get((i, j))
-                    if value is None:
-                        value = self._signed_value((i, j))
-                    if value.coeffs:
-                        accumulate(acc, value, a * b)
+                    if i > j:
+                        value = table.get((j, i))
+                        if value is not None:
+                            accumulate(acc, value, a * b if odd and parities[j]
+                                       else -(a * b))
+                    elif i < j or odd:  # an even (i, i) is zero
+                        value = table.get((i, j))
+                        if value is not None:
+                            accumulate(acc, value, a * b)
             return Vector._owning(self.codomain, acc)
         for combo in itertools.product(*[a.coeffs.items() for a in args]):
-            key = tuple([i for i, _ in combo])
-            value = signed.get(key)
-            if value is None:
-                value = self._signed_value(key)
-            if value.coeffs:
-                coeff = 1
+            value, coeff = self._lookup(tuple([i for i, _ in combo]))
+            if value is not None:
                 for _, c in combo:
                     coeff *= c
                 accumulate(acc, value, coeff)

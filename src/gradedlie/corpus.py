@@ -355,8 +355,7 @@ def perturb_quasi_cyclic(Q: QuasiCyclicDgla, rng: random.Random):
     if kind == "bracket":
         bracket = _copy_bracket(space, A.bracket)
         old = A.bracket.evaluate_indices((i, j))
-        # written past set_entry, which would refuse the changed value; the
-        # copy has answered no lookup yet, so it caches nothing stale
+        # written past set_entry, which would refuse the changed value
         bracket.table[tuple(sorted((i, j)))] = old + space.basis_vector(k).scale(delta)
         new_A = DgLieAlgebra(space, A.d, bracket)
         desc = (f"bracket [{space.labels[i]}, {space.labels[j]}] shifted by "

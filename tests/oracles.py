@@ -28,6 +28,22 @@ def sign_by_inversions(perm, degrees):
     return sign
 
 
+def signed_lookup_naive(table, degrees, idx):
+    """A graded-skew map at basis indices in any order, read off its table
+    of canonical entries as a {index: coefficient} dict: the entry at the
+    stably sorted indices times the Koszul sign counted over inversions;
+    empty when an even-degree index repeats or nothing is stored."""
+    order = sorted(range(len(idx)), key=lambda t: idx[t])
+    canon = tuple(idx[t] for t in order)
+    if any(a == b and degrees[a] % 2 == 0 for a, b in zip(canon, canon[1:])):
+        return {}
+    value = table.get(canon)
+    if value is None:
+        return {}
+    sign = sign_by_inversions(order, [degrees[i] for i in idx])
+    return {j: sign * c for j, c in value.coeffs.items()}
+
+
 def shuffles_by_filter(k, m):
     """All (k, m)-shuffles found by filtering the full symmetric group."""
     n = k + m

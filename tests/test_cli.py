@@ -181,6 +181,8 @@ def test_structured_output_shape(corpus_files, capsys):
      "t": 123456.789},
     [[[]], [{}], [[{"k": [None]}]]],
     "plain", 7, 2.5, None, True,
+    2 ** 64, -2 ** 70 - 1, [2 ** 64 + 1, [-(2 ** 100)]], -0.0, [-0.0, 0.0],
+    [True, [False, [None]], {"t": [True, None], "f": False}],
 ])
 def test_structured_rendering_is_json_dumps(value):
     from gradedlie.cli import _dumps

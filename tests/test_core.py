@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gradedlie.core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, as_scalar,
-    accumulate, accumulate_bracket_halves, canonical_tuples, coordinates_in_span, echelon_vectors,
-    enumerate_shuffles, extend_to_complement, half_sum_splits,
+    accumulate, accumulate_bracket_halves, accumulate_composites,
+    canonical_tuples, coordinates_in_span, echelon_vectors, enumerate_shuffles, extend_to_complement, half_sum_splits,
     independent_positions, kernel_vectors, koszul_sign,
     repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
     sort_basis_tuple,
@@ -20,7 +20,8 @@ from gradedlie.core import (
 
 from oracles import (
     assert_exact_scalar, complement_naive, independent_positions_naive,
-    rref_naive, shuffles_by_filter, sign_by_inversions, solve_naive,
+    rref_naive, shuffles_by_filter, sign_by_inversions, signed_lookup_naive,
+    solve_naive,
 )
 
 
@@ -404,7 +405,7 @@ def test_evaluate_at_permuted_arguments_matches_koszul_sign(rng):
 # --- exact kernel against a plain Fraction reference ----------------------------
 #
 # The reference works on {index: Fraction} dicts and never touches Vector,
-# so a slip in the in-place accumulation, the cached signed lookups or the
+# so a slip in the in-place accumulation, the signed table lookups or the
 # int fast path shows up as a disagreement.
 
 SCALARS = st.one_of(
@@ -490,7 +491,7 @@ def test_evaluate_agrees_with_the_fraction_reference(case):
     vectors = [Vector(V, a) for a in args]
     operands = [dict(v.coeffs) for v in vectors]
     expected = ref_evaluate(ref_table, V.degrees, [ref_dict(a) for a in args])
-    for _ in range(2):  # the second pass reads the cached signed lookups
+    for _ in range(2):  # a lookup leaves the table as it was
         got = f.evaluate(vectors)
         assert got.coeffs == expected
         assert_exact(got)
@@ -731,3 +732,151 @@ def test_echelon_vectors_deterministic():
     vecs = [V.vector({"x": 2, "y": 2}), V.vector({"x": 1})]
     ech = echelon_vectors(vecs, V)
     assert [repr(v) for v in ech] == ["x", "y"]
+
+
+# --- signed lookups against the inversion-count oracle ----------------------
+
+def _draw_map(data, V, codomain, arity):
+    """A map V^arity -> codomain stored through shuffled keys, so that
+    set_entry folds in the signs; its degree makes one drawn canonical
+    tuple land on a drawn basis element, which gets a nonzero entry.
+    Every even-degree repeat holds junk written past set_entry."""
+    keys = list(canonical_tuples(V, arity))
+    if not keys:
+        return MultilinearMap(V, codomain, arity, 0)
+    anchor = data.draw(st.sampled_from(keys))
+    target = data.draw(st.integers(0, codomain.dim - 1))
+    degree = codomain.degrees[target] - sum(V.degrees[i] for i in anchor)
+    f = MultilinearMap(V, codomain, arity, degree)
+    for canon in keys:
+        lands = codomain.indices_of_degree(
+            sum(V.degrees[i] for i in canon) + degree)
+        if not lands or (canon != anchor and not data.draw(st.booleans())):
+            continue
+        value = {j: data.draw(SCALARS) for j in lands}
+        if canon == anchor:
+            value[target] = data.draw(st.sampled_from([-2, -1, 1, 3]))
+        order = data.draw(st.permutations(range(arity)))
+        f.set_entry(tuple(canon[t] for t in order), Vector(codomain, value))
+    for key in itertools.combinations_with_replacement(range(V.dim), arity):
+        if any(a == b and V.degrees[a] % 2 == 0 for a, b in zip(key, key[1:])):
+            # junk past set_entry, which refuses it: lookups read zero here
+            f.table[key] = codomain.basis_vector(target)
+    return f
+
+
+def _draw_key(data, dim, arity):
+    """Indices in any order; half the time one index is repeated."""
+    key = data.draw(st.lists(st.integers(0, dim - 1), min_size=arity,
+                             max_size=arity))
+    if arity > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(arity)))[:2]
+        key[j] = key[i]
+    return key
+
+
+LOOKUP_TARGET = GradedVectorSpace([(f"t{d}{c}", d) for d in range(-5, 19)
+                                   for c in "ab"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_lookups_agree_with_the_inversion_count(data):
+    """evaluate_indices, at index and label keys, and evaluate on basis
+    vectors read the stored entry with the sign the oracle counts, and an
+    even-degree repeat reads zero."""
+    degrees = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=5))
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    arity = data.draw(st.integers(1, 5))
+    f = _draw_map(data, V, LOOKUP_TARGET, arity)
+    for _ in range(4):
+        key = _draw_key(data, V.dim, arity)
+        expected = signed_lookup_naive(f.table, degrees, key)
+        assert f.evaluate_indices(tuple(key)).coeffs == expected, key
+        labelled = [V.labels[i] if data.draw(st.booleans()) else i
+                    for i in key]
+        assert f.evaluate_indices(labelled).coeffs == expected, labelled
+        got = f.evaluate([V.basis_vector(i) for i in key])
+        assert got.coeffs == expected, key
+        assert_exact(got)
+
+
+def _composites_naive(V, idx, inner_ops, outer_ops, factor):
+    """The nested shuffle sum of accumulate_composites, term by term."""
+    n = len(idx)
+    degs = [V.degrees[i] for i in idx]
+    out = {}
+    for k in range(1, n + 1):
+        inner, outer = inner_ops.get(k), outer_ops.get(n - k + 1)
+        if inner is None or outer is None:
+            continue
+        for sigma in enumerate_shuffles(k, n - k):
+            sign = koszul_sign(sigma, degs) * (-1) ** (n - k) * factor
+            head = signed_lookup_naive(inner.table, V.degrees,
+                                       [idx[s] for s in sigma[:k]])
+            tail = [idx[s] for s in sigma[k:]]
+            for i, a in head.items():
+                for j, c in signed_lookup_naive(outer.table, V.degrees,
+                                                [i] + tail).items():
+                    out[j] = out.get(j, 0) + sign * a * c
+    return {j: c for j, c in out.items() if c}
+
+
+def _dense_map(rng, V, arity):
+    """A map V^arity -> V written straight into its table on most sorted
+    tuples, with values on all of V, and junk on even-degree repeats,
+    which every lookup must read as zero."""
+    f = MultilinearMap(V, V, arity, 0)
+    for key in itertools.combinations_with_replacement(range(V.dim), arity):
+        if rng.random() < 0.8:
+            f.table[key] = Vector(V, {j: rng.choice([-2, -1, 1, 3])
+                                      for j in rng.sample(range(V.dim), 2)})
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_composites_agree_with_the_naive_shuffle_expansion(data):
+    degrees = data.draw(st.lists(st.integers(-1, 3), min_size=2, max_size=4))
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    n = data.draw(st.integers(1, 5))
+    rng = data.draw(st.randoms(use_true_random=False))
+    inner_ops = {k: _dense_map(rng, V, k) for k in range(1, n + 1)
+                 if data.draw(st.booleans())}
+    outer_ops = {k: _dense_map(rng, V, k) for k in range(1, n + 1)
+                 if data.draw(st.booleans())}
+    factor = data.draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+    tuples = list(canonical_tuples(V, n))
+    for idx in rng.sample(tuples, min(4, len(tuples))):
+        total = {}
+        accumulate_composites(total, V, idx, inner_ops, outer_ops, factor)
+        assert total == _composites_naive(V, idx, inner_ops, outer_ops,
+                                          factor), idx
+        for c in total.values():
+            assert_exact_scalar(c)
+
+
+def test_a_direct_table_write_shows_in_the_next_lookup():
+    V = space_xyz()
+    a, x, y, z = range(4)
+    f = MultilinearMap(V, V, 2, 0)
+    d = MultilinearMap(V, V, 1, 1)
+    d.set_entry(("a",), V.basis_vector("x"))
+    d.set_entry(("y",), V.basis_vector("z"))
+    args = [V.basis_vector("x"), V.basis_vector("a")]
+    assert f.evaluate(args).is_zero()
+    assert f.evaluate_indices((x, a)).is_zero()
+    total = {}
+    accumulate_composites(total, V, (a, y), {1: d}, {2: f})
+    assert total == {}
+    # past set_entry, as corpus.perturb_quasi_cyclic writes
+    f.table[(a, x)] = V.basis_vector("x")
+    f.table[(x, y)] = V.basis_vector("z")
+    f.table[(a, z)] = V.basis_vector("z")
+    assert f.evaluate(args) == V.vector({"x": -1})
+    assert f.evaluate_indices((x, a)) == V.vector({"x": -1})
+    assert f.evaluate_indices(("a", "x")) == V.basis_vector("x")
+    # minus the (1, 1)-shuffle sum over (a, y): f(d a, y) = f(x, y) = z,
+    # and the swapped shuffle, sign -1, gives f(d y, a) = f(z, a) = -z
+    accumulate_composites(total, V, (a, y), {1: d}, {2: f})
+    assert total == {z: -2}
