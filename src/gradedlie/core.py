@@ -27,7 +27,7 @@ __all__ = [
     "GradedVectorSpace", "Vector", "LinearMap", "MultilinearMap",
     "koszul_sign", "enumerate_shuffles", "signed_shuffles",
     "repeat_pattern", "shuffle_splits", "half_sum_splits",
-    "sort_basis_tuple", "accumulate", "accumulate_composites",
+    "accumulate", "accumulate_composites",
     "accumulate_bracket_halves", "jacobi_defects",
     "rref", "solve_dense", "kernel_vectors", "echelon_vectors",
     "coordinates_in_span", "independent_positions", "extend_to_complement",
@@ -223,16 +223,6 @@ def half_sum_splits(n: int, parities: tuple, repeats: tuple) -> tuple:
             terms = tuple(kept)
         out.append((k, terms))
     return tuple(out)
-
-
-def sort_basis_tuple(indices, degree_of):
-    """Canonicalize a tuple of basis indices by stable insertion sort.
-
-    Returns ``(sorted_tuple, sign)`` where the sign accumulates the same
-    Koszul factors as :func:`koszul_sign`, or ``(None, 0)`` when the tuple
-    repeats an even-degree index and is therefore forced to vanish.
-    """
-    return _koszul_sort(indices, {i: degree_of(i) % 2 for i in indices})
 
 
 def canonical_tuples(space, arity, shift=None, degrees=None) -> tuple:

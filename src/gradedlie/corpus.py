@@ -369,11 +369,10 @@ def perturb_quasi_cyclic(Q: QuasiCyclicDgla, rng: random.Random):
         new_A = A
         desc = (f"pairing ({space.labels[i]}, {space.labels[j]}) shifted by "
                 f"{delta}")
-    pairing = CyclicPairing(space, Q.pairing.degree, dict(Q.pairing.entries()))
+    entries = dict(Q.pairing.entries())
     if kind == "pairing":
-        pairing.table[(i, j)] = pairing.table.get((i, j), Fraction(0)) + delta
-        if pairing.table[(i, j)] == 0:
-            del pairing.table[(i, j)]
+        entries[(i, j)] = entries.get((i, j), 0) + delta
+    pairing = CyclicPairing(space, Q.pairing.degree, entries)
     return desc, QuasiCyclicDgla(new_A, pairing)
 
 

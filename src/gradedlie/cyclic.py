@@ -35,17 +35,18 @@ __all__ = [
 class CyclicPairing:
     """Sparse graded-symmetric bilinear form of total degree ``degree``.
 
-    Entries live on canonical index pairs (i <= j); an entry given on
-    (j, i) is folded in with the graded-symmetry sign (-1)^{|i||j|}.
-    A nonzero value is legal only when deg(i) + deg(j) equals the form's
-    degree, and never on an odd diagonal (where symmetry forces 0).
-    Conflicting assignments raise immediately.
+    The form is stored as its Gram rows, row i holding (e_i, e_j) at j;
+    an entry given on either pair is written to both, the mirrored one
+    with the graded-symmetry sign (-1)^{|i||j|}.  A nonzero value is legal
+    only when deg(i) + deg(j) equals the form's degree, and never on an
+    odd diagonal (where symmetry forces 0).  Conflicting assignments
+    raise immediately.
     """
 
     def __init__(self, space: GradedVectorSpace, degree: int, entries=None):
         self.space = space
         self.degree = degree
-        self.table = {}
+        self._rows = [{} for _ in range(space.dim)]
         if entries:
             items = entries.items() if hasattr(entries, "items") else entries
             for key, value in items:
@@ -63,10 +64,9 @@ class CyclicPairing:
         i, j = self._resolve(key)
         value = as_scalar(value)
         di, dj = self.space.degrees[i], self.space.degrees[j]
-        sign = 1
+        sign = -1 if (di % 2 and dj % 2) else 1
         if i > j:
-            i, j, sign = j, i, -1 if (di % 2 and dj % 2) else 1
-        value = value * sign
+            i, j, value = j, i, value * sign
         if value == 0:
             return
         if i == j and di % 2:
@@ -77,44 +77,56 @@ class CyclicPairing:
             raise ValueError(
                 f"entry ({self.space.labels[i]}, {self.space.labels[j]}) has degree "
                 f"{di + dj}, form has degree {self.degree}")
-        old = self.table.get((i, j))
+        old = self._rows[i].get(j)
         if old is not None and old != value:
             raise ValueError(
                 f"conflicting values for ({self.space.labels[i]}, "
                 f"{self.space.labels[j]}): {old} vs {value}")
-        self.table[(i, j)] = value
+        self._rows[i][j] = value
+        self._rows[j][i] = value * sign
 
     def value_indices(self, i: int, j: int) -> Scalar:
-        if i > j:
-            di, dj = self.space.degrees[i], self.space.degrees[j]
-            sign = -1 if (di % 2 and dj % 2) else 1
-            return as_scalar(self.table.get((j, i), 0) * sign)
-        return as_scalar(self.table.get((i, j), 0))
+        return self._rows[i].get(j, 0)
 
     def evaluate(self, u: Vector, v: Vector) -> Scalar:
         total = 0
         for i, cu in u.coeffs.items():
-            for j, cv in v.coeffs.items():
-                val = self.value_indices(i, j)
-                if val:
+            for j, val in self._rows[i].items():
+                cv = v.coeffs.get(j)
+                if cv:
                     total += cu * cv * val
         return as_scalar(total)
 
+    def pullback(self, space: GradedVectorSpace, vectors) -> "CyclicPairing":
+        """The form on ``space`` with (e_a, e_b) = (vectors[a], vectors[b]):
+        each entry is one sparse dot product with a row image built once
+        per vector, and :meth:`set_entry` refuses it in a wrong degree."""
+        out = CyclicPairing(space, self.degree)
+        for a, u in enumerate(vectors):
+            image = {}
+            for i, c in u.coeffs.items():
+                for j, val in self._rows[i].items():
+                    image[j] = image.get(j, 0) + c * val
+            for b in range(a, len(vectors)):
+                val = sum([image.get(j, 0) * c
+                           for j, c in vectors[b].coeffs.items()])
+                if val:
+                    out.set_entry((a, b), val)
+        return out
+
     def rows(self) -> list:
-        """Sparse Gram rows, row a holding (e_a, e_b) at b; built afresh on
-        each call, as ``corpus.perturb_quasi_cyclic`` writes ``table``."""
-        degrees = self.space.degrees
-        rows = [{} for _ in range(self.space.dim)]
-        for (i, j), value in self.table.items():
-            rows[j][i] = -value if degrees[i] % 2 and degrees[j] % 2 else value
-            rows[i][j] = value
-        return [Vector(self.space, row) for row in rows]
+        """The sparse Gram rows, row a holding (e_a, e_b) at b; each call
+        hands out copies, so a later ``set_entry`` leaves them as they are."""
+        return [Vector._owning(self.space, dict(row)) for row in self._rows]
 
     def entries(self):
-        return sorted(self.table.items())
+        """The upper half of the Gram rows, ((i, j), value) with i <= j, in
+        sorted order."""
+        return [((i, j), row[j]) for i, row in enumerate(self._rows)
+                for j in sorted(row) if j >= i]
 
     def __repr__(self):
-        return f"CyclicPairing(degree {self.degree}, {len(self.table)} entries)"
+        return f"CyclicPairing(degree {self.degree}, {len(self.entries())} entries)"
 
 
 class QuasiCyclicDgla:
@@ -170,14 +182,15 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     """Check closedness and cyclicity; classify non-degeneracy.
 
     Graded symmetry and the total degree are enforced by
-    :class:`CyclicPairing` itself, which folds each entry onto its
-    canonical pair with the symmetry sign and refuses wrong-degree and
-    odd-diagonal entries, so no form can fail them here.  Closedness and
-    cyclicity are one identity, checked by one scan of the Gram rows
-    (:func:`_compatibility_violations`) that also give the rank on L;
-    failures are collected as violations, never raised.  The induced
-    form on cohomology uses the given splitting's representatives (a
-    canonical splitting is computed when none is supplied).
+    :class:`CyclicPairing` itself, which writes each entry to both of its
+    Gram rows, the mirrored one with the symmetry sign, and refuses
+    wrong-degree and odd-diagonal entries, so no form can fail them here.
+    Closedness and cyclicity are one identity, checked by one scan of the
+    Gram rows (:func:`_compatibility_violations`) that also give the rank
+    on L; failures are collected as violations, never raised.  The
+    induced form on cohomology is the pairing pulled back onto the given
+    splitting's representatives (a canonical splitting is computed when
+    none is supplied), and its rows give the rank on H.
     """
     A, form = Q.algebra, Q.pairing
     rows = form.rows()
@@ -185,8 +198,8 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
 
     s = splitting if splitting is not None else compute_splitting(A)
     reps = s.h_vectors
-    induced = [[form.evaluate(u, v) for v in reps] for u in reps]
-    rank_h = len(rref(induced)[1]) if reps else 0
+    induced = form.pullback(s.h_space, reps).rows()
+    rank_h = len(rref([row.dense() for row in induced])[1]) if reps else 0
     rank_l = len(rref([row.dense() for row in rows])[1])
 
     # consequences of closedness, asserted against the splitting
@@ -458,14 +471,8 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
         span += [v for v in s.h_vectors if v.degree() > 0]
         span += [v for v in s.k_vectors if v.degree() > 0]
         span += [A.d.apply(v) for v in s.k_vectors if v.degree() > 0]
-        sub, embed = restrict_to_span(A, span)
-        sub_form = CyclicPairing(sub.space, n)
-        for i in range(sub.space.dim):
-            for j in range(i, sub.space.dim):
-                val = form.evaluate(embed.apply(sub.space.basis_vector(i)),
-                                    embed.apply(sub.space.basis_vector(j)))
-                if val:
-                    sub_form.set_entry((i, j), val)
+        sub, _ = restrict_to_span(A, span)
+        sub_form = form.pullback(sub.space, span)
 
         def pull(vec):
             coords = coordinates_in_span(span, vec)

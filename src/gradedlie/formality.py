@@ -452,14 +452,13 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     report.append(f"boundary terms checked on {checked} tuples")
 
     # the coefficient recursion; a nondegenerate Gram matrix makes every
-    # solve unique
-    def pair_classes(u, v):
-        return Q.pairing.evaluate(s.iota1.apply(u), s.iota1.apply(v))
+    # solve unique.  The pairing is pulled back onto H once: the Gram
+    # matrix and the F functionals both read that form.
+    h_form = Q.pairing.pullback(H, s.h_vectors)
 
     # one rref of [gram | I] checks the Gram matrix and inverts it
-    red, pivots = rref([[pair_classes(H.basis_vector(c), H.basis_vector(t))
-                         for c in h1] + [int(r == t) for r in h1]
-                        for t in h1])
+    red, pivots = rref([[h_form.value_indices(c, t) for c in h1]
+                        + [int(r == t) for r in h1] for t in h1])
     assert pivots == list(range(len(h1))), (
         "induced pairing is degenerate on the degree-1 classes; the "
         "coefficient solves cannot be unique")
@@ -471,7 +470,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         # the functionals of splits (j, p + 1 - j), 2 <= j <= p - 1: the
         # boundary splits vanish under the normalization
         funcs = [(compute_I(T, Q.pairing, p + 1, j),
-                  _compute_F(pair_classes, f_tables, p + 1, j))
+                  _compute_F(h_form.evaluate, f_tables, p + 1, j))
                  for j in range(2, p)]
         f_p = MultilinearMap(H, H, p, 1 - p)
         for idx in itertools.combinations_with_replacement(h1, p):

@@ -15,7 +15,6 @@ from gradedlie.core import (
     canonical_tuples, coordinates_in_span, echelon_vectors, enumerate_shuffles, extend_to_complement, half_sum_splits,
     independent_positions, kernel_vectors, koszul_sign,
     repeat_pattern, rref, shuffle_splits, signed_shuffles, solve_dense,
-    sort_basis_tuple,
 )
 
 from oracles import (
@@ -253,17 +252,19 @@ def test_feasible_tuples_match_the_filtered_enumeration(degrees, arity, shift,
         if sum(degrees[i] for i in idx) + shift in lands]
 
 
-def test_sort_basis_tuple_kills_even_repeats():
-    degs = {0: 0, 1: 1, 2: 2}
-    key, sign = sort_basis_tuple((2, 2), degs.__getitem__)
+def test_canonical_key_kills_even_repeats():
+    m = MultilinearMap(GradedVectorSpace([("a", 0), ("x", 1), ("z", 2)]),
+                       GradedVectorSpace([("w", 0)]), 2, 0)
+    key, sign = m.canonical_key((2, 2))
     assert key is None and sign == 0
-    key, sign = sort_basis_tuple((1, 1), degs.__getitem__)
+    key, sign = m.canonical_key((1, 1))
     assert key == (1, 1) and sign == 1
 
 
-def test_sort_basis_tuple_sign():
-    degs = {0: 1, 1: 2}
-    assert sort_basis_tuple((1, 0), degs.__getitem__) == ((0, 1), -1)
+def test_canonical_key_sign():
+    m = MultilinearMap(GradedVectorSpace([("x", 1), ("y", 2)]),
+                       GradedVectorSpace([("w", 0)]), 2, 0)
+    assert m.canonical_key((1, 0)) == ((0, 1), -1)
 
 
 # --- spaces and vectors ------------------------------------------------------

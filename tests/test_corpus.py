@@ -16,7 +16,7 @@ from gradedlie.documents import (
     bundled_documents, document_to_quasi_cyclic, parse_document,
 )
 
-from oracles import permute_basis
+from oracles import assert_exact_scalar, permute_basis
 
 
 # --- generators are valid by construction ----------------------------------------
@@ -128,8 +128,9 @@ def test_perturbations_keep_every_entry_homogeneous():
 
 def _assert_pairing_is_legal(form, where):
     degrees = form.space.degrees
-    for (i, j), value in form.table.items():
+    for (i, j), value in form.entries():
         assert i <= j and value, (where, i, j)
+        assert_exact_scalar(value)
         assert degrees[i] + degrees[j] == form.degree, (where, i, j)
         assert i != j or degrees[i] % 2 == 0, (where, i)
     for i in range(form.space.dim):
@@ -142,10 +143,10 @@ def _assert_pairing_is_legal(form, where):
 def test_pairing_tables_are_degree_legal_and_graded_symmetric():
     """``validate_pairing`` checks neither the degree nor the graded
     symmetry of a form: ``CyclicPairing`` refuses wrong-degree and
-    odd-diagonal entries and folds (j, i) onto (i, j) with the sign.  A
-    perturbed pairing is written into its table directly, and a parsed
+    odd-diagonal entries and writes (i, j) and (j, i) with the sign.  A
+    perturbed pairing is rebuilt through the constructor, and a parsed
     one goes through ``set_entry``; both must hold what the checks'
-    absence relies on."""
+    absence relies on, with exact int-or-Fraction values."""
     corpus = standard_corpus()
     rng = random.Random(11)
     for draw in range(200):

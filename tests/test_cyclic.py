@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.core import coordinates_in_span
+from gradedlie.core import GradedVectorSpace, Vector, coordinates_in_span
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
     SymplecticRepresentation, from_symplectic_representation,
@@ -22,6 +22,7 @@ from gradedlie.corpus import (
 from oracles import (
     assert_exact_scalar, build_algebra, lie_jacobi_cyclic_sums_naive,
     pairing_closed_violations_naive, pairing_cyclic_violations_naive,
+    pairing_value_naive,
 )
 
 
@@ -142,14 +143,23 @@ def test_degree_two_bracket_sign_is_forced():
         V.basis_vector("a"), V.basis_vector("x"))) == "-db"
 
 
-def test_gram_rows_follow_direct_table_writes():
+def test_gram_rows_carry_the_mirror_sign_and_are_handed_out_as_copies():
     Q = nocontraction()
-    form = CyclicPairing(Q.space, 2, dict(Q.pairing.entries()))
+    form = CyclicPairing(Q.space, 2)
+    before = form.rows()
+    form.set_entry(("x", "y"), -1)
     i, j = Q.space.index("x"), Q.space.index("y")  # odd-odd: (y, x) = -(x, y)
     assert form.rows()[j].coefficient(i) == 1 == -form.rows()[i].coefficient(j)
-    form.table[(i, j)] = 2
-    assert form.rows()[i].coefficient(j) == 2
-    assert form.rows()[j].coefficient(i) == -2
+    assert all(row.is_zero() for row in before)
+
+
+def test_a_conflicting_value_on_the_mirrored_pair_raises():
+    Q = nocontraction()
+    form = CyclicPairing(Q.space, 2, dict(Q.pairing.entries()))
+    form.set_entry(("y", "x"), 1)  # (y, x) = -(x, y) = 1: consistent
+    with pytest.raises(ValueError,
+                       match=r"conflicting values for \(x, y\): -1 vs 1"):
+        form.set_entry(("y", "x"), -1)
 
 
 def test_closedness_failure_is_reported_with_its_pair():
@@ -424,6 +434,47 @@ def test_cyclicity_violations_agree_with_the_dense_triple_loop(named, edits, rng
             assert_exact_scalar(Q.pairing.evaluate(
                 V.basis_vector(i).scale(rng.choice([1, Fraction(1, 2)])),
                 V.basis_vector(j).scale(2)))
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 3),
+       st.randoms(use_true_random=False), st.data())
+def test_stored_rows_agree_with_the_entries_oracle(named, edits, rng, data):
+    """Evaluation, single values, the Gram rows and the pullback against
+    the form's upper-half entries with the symmetry sign applied by hand."""
+    name, Q = named
+    for _ in range(edits):
+        name, Q = perturb_quasi_cyclic(Q, rng)
+    form, V = Q.pairing, Q.space
+
+    def vector(indices):
+        coeffs = data.draw(st.dictionaries(st.sampled_from(indices), _SCALARS,
+                                           max_size=4))
+        return Vector(V, coeffs)
+
+    u, v = vector(range(V.dim)), vector(range(V.dim))
+    assert form.evaluate(u, v) == pairing_value_naive(form, u, v), name
+    rows = form.rows()
+    for i in range(V.dim):
+        for j in range(V.dim):
+            naive = pairing_value_naive(form, V.basis_vector(i),
+                                        V.basis_vector(j))
+            assert form.value_indices(i, j) == naive, (name, i, j)
+            assert rows[i].coefficient(j) == naive, (name, i, j)
+    degrees = data.draw(st.lists(st.sampled_from(V.degrees_present()),
+                                 max_size=4))
+    vectors = [vector(V.indices_of_degree(d)) for d in degrees]
+    W = GradedVectorSpace([(f"w{a}", d) for a, d in enumerate(degrees)])
+    pulled = form.pullback(W, vectors)
+    for a, x in enumerate(vectors):
+        for b, y in enumerate(vectors):
+            assert pulled.value_indices(a, b) == pairing_value_naive(
+                form, x, y), (name, a, b)
 
 
 def test_a_bracket_edit_is_reported_on_every_triple_it_breaks():

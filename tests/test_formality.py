@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -646,10 +647,13 @@ def test_planted_coefficient_below_the_top_fails_the_independent_check(
 @pytest.mark.parametrize("constant", [0, 1])
 def test_a_degenerate_gram_matrix_stops_the_coefficient_solves(monkeypatch,
                                                                 constant):
-    # the pairing of the degree-1 classes made zero, or of rank one
+    # the pairing of the degree-1 classes made zero, or of rank one (not
+    # skew, so no CyclicPairing holds it): planted in the form pulled back
+    # onto H, where the builder reads its Gram matrix
     Q, s = _symplectic_plane()
     args = prepared(Q, s)
-    monkeypatch.setattr(Q.pairing, "evaluate", lambda u, v: constant)
+    planted = SimpleNamespace(value_indices=lambda i, j: constant)
+    monkeypatch.setattr(Q.pairing, "pullback", lambda space, vectors: planted)
     with pytest.raises(AssertionError) as info:
         build_formality_witness(*args, 3)
     assert str(info.value).startswith(
