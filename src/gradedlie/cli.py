@@ -11,13 +11,16 @@ Subcommands
                 independent check, certificate scan on a rejection
     corpus      golden expectations over the bundled example documents
 
-Reports render as text (default) or as stable JSON (``--format
-structured``).  Exit codes: 0 for every verdict except a FAIL report or
-a NON-FORMAL verdict from ``formality``, which exit 1; unreadable input
-(parse errors, schema violations, missing files, ill-posed queries)
-exits 2; an internal error (a failed self-check, raised as an
-``AssertionError``) prints one line on stderr and exits 3.  ``massey``
-is an evidence query: finding a certificate still exits 0.
+Every subcommand first checks the algebra (``validate_dgla``) and any
+declared splitting (``verify_splitting``), before the arguments of its
+query; on a violation it computes nothing more and reports FAIL with the
+violations ``validate`` lists first.  Reports render as text (default) or as stable JSON (``--format
+structured``).  Exit codes: 0 for every verdict except FAIL, or
+NON-FORMAL from ``formality``, which exit 1; unreadable input (parse
+errors, schema violations, missing files, ill-posed queries) exits 2; an
+internal error (a failed self-check, raised as an ``AssertionError``)
+prints one line on stderr and exits 3.  ``massey`` is an evidence query:
+finding a certificate still exits 0.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
 from .cyclic import validate_pairing
@@ -86,37 +89,54 @@ def _certificate_finding(certificate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (document-level, reused by the corpus gate)
+# Subcommands: one staged run per document, rendered by each handler
 # ---------------------------------------------------------------------------
 
-def _splitting_for(doc, A):
-    declared = document_splitting(doc, A)
-    return declared if declared is not None else compute_splitting(A)
+class _Invalid(Exception):
+    """Stage 2 found violations; ``args`` are the command's FAIL verdict."""
 
 
-def _validate_doc(doc):
-    # one algebra for the checks, the splitting and the pairing
-    Q = None
-    if doc.pairing_degree is not None:
-        Q = document_to_quasi_cyclic(doc)
-        A = Q.algebra
-    else:
-        A = document_to_algebra(doc)
-    violations = validate_dgla(A)
-    findings = [_violation_finding(v) for v in violations]
-    splitting = document_splitting(doc, A)
-    if splitting is not None:
-        findings.extend(_violation_finding(v)
-                        for v in verify_splitting(splitting))
-    quasi_cyclic = True
-    if (Q is not None and splitting is None
-            and any(v.identity == "d_squared" for v in violations)):
+class _Run:
+    """One document's stages, each run at most once: (1) the algebra, in
+    its ``QuasiCyclicDgla`` when ``pairing``; (2) the ``violations`` of
+    ``validate_dgla`` and, on a declared splitting, ``verify_splitting``,
+    whose ``failed`` verdict is raised as :class:`_Invalid` under ``gate``;
+    (3) ``splitting``, lazily."""
+
+    def __init__(self, doc, pairing=False, gate=True):
+        self.doc = doc
+        self.quasi_cyclic = document_to_quasi_cyclic(doc) if pairing else None
+        self.algebra = (self.quasi_cyclic.algebra if pairing
+                        else document_to_algebra(doc))
+        self.violations = validate_dgla(self.algebra)
+        # Splitting raises ValueError on vectors that are no basis
+        self.declared = document_splitting(doc, self.algebra)
+        if self.declared is not None:
+            self.violations += verify_splitting(self.declared)
+        self.failed = None
+        if self.violations:  # FAIL, the only verdict such a run gets
+            self.failed = "FAIL", [_violation_finding(v)
+                                   for v in self.violations]
+            if gate:
+                raise _Invalid(*self.failed)
+
+    @cached_property
+    def splitting(self):
+        return (self.declared if self.declared is not None
+                else compute_splitting(self.algebra))
+
+
+def _validate(run):
+    findings = [_violation_finding(v) for v in run.violations]
+    Q, quasi_cyclic = run.quasi_cyclic, True
+    if (Q is not None and run.declared is None
+            and any(v.identity == "d_squared" for v in run.violations)):
         # classifying the pairing needs a splitting, and none can be
         # computed when d^2 != 0; the violations already make this a FAIL
         findings.append(_note("pairing not classified: no splitting "
                               "exists while d^2 != 0"))
     elif Q is not None:
-        report = validate_pairing(Q, splitting)
+        report = validate_pairing(Q, run.splitting)
         findings.append({"kind": "pairing-status", "text": report.status()})
         findings.extend(_violation_finding(v) for v in report.violations)
         quasi_cyclic = report.is_quasi_cyclic
@@ -127,11 +147,10 @@ def _validate_doc(doc):
     return status, findings
 
 
-def _formality_doc(doc, arity=None):
-    Q = document_to_quasi_cyclic(doc)
-    s0 = _splitting_for(doc, Q.algebra)
-    if doc.h0_labels is not None:
-        h0 = [Q.algebra.basis_vector(label) for label in doc.h0_labels]
+def _formality(run, arity=None):
+    Q, s0 = run.quasi_cyclic, run.splitting
+    if run.doc.h0_labels is not None:
+        h0 = [Q.algebra.basis_vector(label) for label in run.doc.h0_labels]
     else:
         h0 = [v for v in s0.h_vectors if v.degree() == 0]
     N = arity if arity is not None else len(s0.h_vectors) + 2
@@ -169,19 +188,14 @@ def _formality_doc(doc, arity=None):
     return verdict.status, findings
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_validate(args) -> Report:
-    status, findings = _validate_doc(load_document(args.file))
-    return Report("validate", status, findings)
-
-
-def cmd_cohomology(args) -> Report:
+def cmd_validate(args) -> tuple:
     doc = load_document(args.file)
-    A = document_to_algebra(doc)
-    presentation = cohomology(A, _splitting_for(doc, A))
+    return _validate(_Run(doc, doc.pairing_degree is not None, gate=False))
+
+
+def cmd_cohomology(args) -> tuple:
+    run = _Run(load_document(args.file))
+    presentation = cohomology(run.algebra, run.splitting)
     findings = [{"kind": "dimensions",
                  "by_degree": [[d, n] for d, n in sorted(
                      presentation.dims.items())]}]
@@ -195,15 +209,14 @@ def cmd_cohomology(args) -> Report:
                          "value": repr(value)})
     findings.extend(_violation_finding(v) for v in presentation.violations)
     status = "PASS" if not presentation.violations else "FAIL"
-    return Report("cohomology", status, findings)
+    return status, findings
 
 
-def cmd_transfer(args) -> Report:
-    doc = load_document(args.file)
-    A = document_to_algebra(doc)
-    s = _splitting_for(doc, A)
+def cmd_transfer(args) -> tuple:
+    run = _Run(load_document(args.file))
+    s = run.splitting
     N = args.arity if args.arity is not None else len(s.h_vectors) + 2
-    T = homotopy_transfer(A, s, N)
+    T = homotopy_transfer(run.algebra, s, N)
     findings = []
     for p in range(1, N + 1):
         findings += _table_findings("inclusion-entry", p,
@@ -218,13 +231,12 @@ def cmd_transfer(args) -> Report:
         f"re-verified: strong homotopy axioms and morphism relations "
         f"to arity {N}: {len(problems)} violations"))
     findings.extend(_violation_finding(v) for v in problems)
-    return Report("transfer", "PASS" if not problems else "FAIL", findings)
+    return "PASS" if not problems else "FAIL", findings
 
 
-def cmd_massey(args) -> Report:
-    doc = load_document(args.file)
-    A = document_to_algebra(doc)
-    s = _splitting_for(doc, A)
+def cmd_massey(args) -> tuple:
+    run = _Run(load_document(args.file))
+    A, s = run.algebra, run.splitting
     if args.triple:
         for label in args.triple:
             if label not in A.space.labels:
@@ -242,18 +254,17 @@ def cmd_massey(args) -> Report:
                 "indeterminacy": [repr(v) for v in product.indeterminacy],
                 "nonzero_mod_indeterminacy":
                     product.nonzero_mod_indeterminacy()}
-        return Report("massey", "PASS", [finding])
+        return "PASS", [finding]
     certificate = detect_nonformality(A, s)
     if certificate is None:
         findings = [_note("no certificate among the representatives; "
                           "vanishing triple products prove nothing")]
-        return Report("massey", "INCONCLUSIVE", findings)
-    return Report("massey", "NON-FORMAL", [_certificate_finding(certificate)])
+        return "INCONCLUSIVE", findings
+    return "NON-FORMAL", [_certificate_finding(certificate)]
 
 
-def cmd_formality(args) -> Report:
-    status, findings = _formality_doc(load_document(args.file), args.arity)
-    return Report("formality", status, findings)
+def cmd_formality(args) -> tuple:
+    return _formality(_Run(load_document(args.file), pairing=True), args.arity)
 
 
 _EXPECTED_CORPUS = {
@@ -270,16 +281,16 @@ _EXPECTED_CORPUS = {
 }
 
 
-def cmd_corpus(args) -> Report:
+def cmd_corpus(args) -> tuple:
     findings = []
     seen = set()
     for name, text in bundled_documents():
-        doc = parse_document(text)
+        run = _Run(parse_document(text), pairing=True, gate=False)
         seen.add(name)
-        validate_status, validate_findings = _validate_doc(doc)
+        validate_status, validate_findings = _validate(run)
         pairing = next((f["text"] for f in validate_findings
                         if f["kind"] == "pairing-status"), "none")
-        formality_status, _ = _formality_doc(doc)
+        formality_status = (run.failed or _formality(run))[0]
         expected = _EXPECTED_CORPUS.get(name)
         got = {"validate": validate_status, "pairing": pairing,
                "formality": formality_status}
@@ -290,7 +301,7 @@ def cmd_corpus(args) -> Report:
                          "expected": _EXPECTED_CORPUS[missing],
                          "match": False})
     status = "PASS" if all(f["match"] for f in findings) else "FAIL"
-    return Report("corpus", status, findings)
+    return status, findings
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gradedlie",
         description="Exact minimal models, Massey products, and formality "
                     "certificates for differential graded Lie algebras.",
-        epilog="Exit codes: 0 verdict computed (PASS, INCONCLUSIVE, "
+        epilog="Every subcommand first validates the algebra and any "
+               "declared splitting, before the query's arguments; a "
+               "violation gives FAIL.  "
+               "Exit codes: 0 verdict computed (PASS, INCONCLUSIVE, "
                "REJECTED, FORMAL-UP-TO-N, and NON-FORMAL outside "
                "'formality'); 1 FAIL, or NON-FORMAL from 'formality'; "
                "2 unreadable input; 3 internal error.")
@@ -431,7 +445,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report = args.handler(args)
+        report = Report(args.command, *args.handler(args))
+    except _Invalid as invalid:
+        report = Report(args.command, *invalid.args)
     except (ParseError, DocumentError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,14 +1,22 @@
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gradedlie.cli import main
-from gradedlie.documents import bundled_documents
+from gradedlie.corpus import perturb_quasi_cyclic
+from gradedlie.documents import (
+    bundled_documents, document_splitting, document_to_quasi_cyclic,
+    parse_document, serialize_document,
+)
+from oracles import contraction_violations_naive, dgla_violations_naive
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -337,50 +345,101 @@ def test_formality_arity_below_two_exits_two(corpus_files, capsys, name,
     assert err == "error: witness construction needs arity bound N >= 2\n"
 
 
-def test_validate_builds_the_algebra_once(corpus_files, capsys, monkeypatch):
-    # the pairing is validated on the algebra the splitting was built on
-    import gradedlie.cli
-    import gradedlie.documents
-    calls = counting(monkeypatch, "document_to_algebra", gradedlie.documents,
-                     gradedlie.cli)
-    code, out, _ = run(capsys, "validate", corpus_files["nocontraction"])
-    assert code == 0 and "cyclic of degree 2" in out
-    assert calls == ["document_to_algebra"]
+@pytest.mark.parametrize("command", ["validate", "cohomology", "transfer",
+                                     "massey", "formality", "corpus"])
+def test_each_document_is_built_and_validated_once(corpus_files, capsys,
+                                                   monkeypatch, command):
+    # one algebra for the checks, the splitting and the pairing
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "gradedlie"]
+    builds, checks = (
+        counting(monkeypatch, name, *[m for m in modules if hasattr(m, name)])
+        for name in ("document_to_algebra", "validate_dgla"))
+    files = [] if command == "corpus" else [corpus_files["nocontraction"]]
+    code, out, _ = run(capsys, command, *files)
+    assert code == (1 if command == "formality" else 0), out
+    documents = len(files or bundled_documents())
+    assert (len(builds), len(checks)) == (documents, documents)
 
 
-def test_internal_error_exits_three_with_one_line(corpus_files, tmp_path,
-                                                  capsys):
-    # one extra bracket constant makes the algebra invalid; transfer does
-    # not validate it first (a known gap), and its inclusion then fails
-    # the morphism relations, the library's own consistency check
+def test_internal_error_exits_three_with_one_line(corpus_files, capsys,
+                                                  monkeypatch):
+    # a self-check of the library fails on a valid document: the walk
+    # that builds the transfer reports one failed morphism relation
+    import gradedlie.linfty
+    from gradedlie.dgla import Violation
+    original = gradedlie.linfty._level_tables
+
+    def failing(*args):
+        iota, brackets, failures = original(*args)
+        return iota, brackets, failures + [
+            Violation("morphism_relation_2", ("x", "x"), "planted")]
+    monkeypatch.setattr(gradedlie.linfty, "_level_tables", failing)
+    code, out, err = run(capsys, "transfer", corpus_files["nocontraction"])
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: inclusion fails its morphism relations: "
+                   "morphism_relation_2 at ('x', 'x')\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["cohomology"], ["transfer"], ["massey"], ["formality"],
+    # validation comes before the query's own arguments, which would exit
+    # 2 on a valid algebra
+    ["transfer", "--arity", "1"], ["formality", "--arity", "0"],
+    ["massey", "--triple", "x", "x", "q"]], ids=" ".join)
+def test_an_invalid_algebra_fails_with_the_violations_of_validate(
+        corpus_files, tmp_path, capsys, command):
+    # one extra bracket constant breaks the Jacobi identity; no command
+    # computes anything on it, and each lists what validate lists first
     text = Path(corpus_files["nocontraction"]).read_text(encoding="utf-8")
     bad = tmp_path / "edited.alg"
     bad.write_text(text.replace("[b, x] = y\n", "[b, x] = y\n  [b, p] = -2*x\n"),
                    encoding="utf-8")
-    code, out, err = run(capsys, "transfer", str(bad))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: inclusion fails its morphism "
-                          "relations")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = run(capsys, "validate", str(bad), "--format",
+                         "structured")
+    assert code == 1 and err == ""
+    violations = list(itertools.takewhile(
+        lambda f: f["kind"] == "violation", json.loads(out)["findings"]))
+    assert [f["identity"] for f in violations] == ["jacobi"] * 3
+    code, out, err = run(capsys, command[0], str(bad), *command[1:],
+                         "--format", "structured")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "FAIL"
+    assert report["findings"] == violations
 
 
-def test_formality_on_an_invalid_algebra_exits_three_at_the_top_arity(
+def test_formality_on_an_invalid_algebra_fails_at_the_top_arity(
         corpus_files, tmp_path, capsys):
     # [x1, u1] = du1 breaks the Jacobi identity; at --arity 3 only the
-    # equivariance check of the top inclusion sees it, and no verdict is
-    # printed
+    # equivariance check of the top inclusion would see it, but validation
+    # runs first and names it
     text = Path(corpus_files["weighted-pair"]).read_text(encoding="utf-8")
     bad = tmp_path / "edited.alg"
     bad.write_text(text.replace("[x1, x2] = w\n",
                                 "[x1, x2] = w\n  [x1, u1] = du1\n"),
                    encoding="utf-8")
     code, out, err = run(capsys, "formality", str(bad), "--arity", "3")
-    assert code == 3
+    assert code == 1 and err == ""
+    assert out.startswith("formality: FAIL")
+    assert "  - violation jacobi at (g, x1, u1): defect du1\n" in out
     assert "FORMAL-UP-TO-3" not in out
-    assert err.startswith(
-        "internal error: arity-3 inclusion fails equivariance at "
-        "('x1', 'x1', 'x1') under g: -6*u1 vs -9*u1")
+
+
+def test_corpus_gives_no_formality_verdict_on_an_invalid_document(
+        capsys, monkeypatch):
+    import gradedlie.cli
+    texts = dict(bundled_documents())
+    bad = texts["nocontraction"].replace("[b, x] = y\n",
+                                         "[b, x] = y\n  [b, p] = -2*x\n")
+    monkeypatch.setattr(gradedlie.cli, "bundled_documents",
+                        lambda: [("nocontraction", bad)])
+    code, out, _ = run(capsys, "corpus", "--format", "structured")
+    assert code == 1
+    entry = json.loads(out)["findings"][0]
+    assert entry["name"] == "nocontraction" and not entry["match"]
+    assert (entry["validate"], entry["formality"]) == ("FAIL", "FAIL")
 
 
 def test_the_parser_is_built_once_per_process(corpus_files, capsys,
@@ -421,10 +480,9 @@ def test_a_differential_that_does_not_square_to_zero_is_named(
     bad = tmp_path / "dsquared.alg"
     bad.write_text(text[:text.index("splitting\n")], encoding="utf-8")
     code, out, err = run(capsys, "cohomology", str(bad))
-    assert code == 2
-    assert out == ""
-    assert err == ("error: differential does not square to zero: "
-                   "d(d(b)) = 2*dp\n")
+    assert code == 1 and err == ""
+    assert out.startswith("cohomology: FAIL")
+    assert "  - violation d_squared at (b): d(d(.)) = 2*dp\n" in out
 
 
 def test_validate_fails_on_d_squared_with_a_pairing_and_no_splitting(
@@ -445,3 +503,71 @@ def test_validate_fails_on_d_squared_with_a_pairing_and_no_splitting(
     assert findings[-1]["kind"] == "note"
     assert "pairing not classified" in findings[-1]["text"]
     assert not any(f["kind"] == "pairing-status" for f in findings)
+
+
+def _document_of(parsed, Q):
+    """``parsed`` with the structure constants of ``Q``, on its labels."""
+    labels = Q.space.labels
+
+    def table(v):
+        return {labels[i]: c for i, c in v.coeffs.items()}
+    A = Q.algebra
+    return replace(
+        parsed,
+        differential={labels[i]: table(v) for i, v in A.d.columns.items()
+                      if not v.is_zero()},
+        brackets={(labels[i], labels[j]): table(v)
+                  for (i, j), v in A.bracket.entries() if not v.is_zero()},
+        pairing=[((labels[i], labels[j]), c)
+                 for (i, j), c in Q.pairing.entries()])
+
+
+def _invalid_naive(doc, A):
+    """Whether the algebra or the declared splitting fails, judged by the
+    brute-force oracles and a dense d^2."""
+    n = A.space.dim
+    d = [[A.d.columns[j].coeffs.get(i, 0) if j in A.d.columns else 0
+          for j in range(n)] for i in range(n)]
+    if any(sum(d[i][k] * d[k][j] for k in range(n))
+           for i in range(n) for j in range(n)):
+        return True
+    if dgla_violations_naive(A):
+        return True
+    try:
+        splitting = document_splitting(doc, A)
+    except ValueError:
+        return True
+    return bool(splitting and contraction_violations_naive(splitting))
+
+
+def test_no_verdict_on_a_single_constant_edit_that_breaks_the_algebra(
+        tmp_path, capsys):
+    # the edits of corpus.perturb_quasi_cyclic, each through every
+    # subcommand: a documented exit code always, and on an invalid algebra
+    # neither a PASS from the computations nor a formality claim
+    rng = random.Random(26)
+    # the status each subcommand may not give on an invalid algebra,
+    # besides FORMAL-UP-TO-N
+    claims = {"validate": "PASS", "cohomology": "PASS", "transfer": "PASS",
+              "massey": "NON-FORMAL", "formality": "NON-FORMAL"}
+    problems, invalid_edits = [], 0
+    for name, text in bundled_documents():
+        parsed = parse_document(text)
+        Q = document_to_quasi_cyclic(parsed)
+        for n in range(30):
+            description, edited = perturb_quasi_cyclic(Q, rng)
+            doc = _document_of(parsed, edited)
+            path = tmp_path / f"{name}-{n}.alg"
+            path.write_text(serialize_document(doc), encoding="utf-8")
+            invalid = _invalid_naive(doc, edited.algebra)
+            invalid_edits += invalid
+            for command, claim in claims.items():
+                code, out, _ = run(capsys, command, str(path),
+                                   "--format", "structured")
+                status = json.loads(out)["status"] if out else ""
+                if code not in (0, 1, 2) or invalid and (
+                        status == claim or status.startswith("FORMAL-UP-TO-")):
+                    problems.append(f"{name} ({description}): {command} "
+                                    f"exits {code}, status {status!r}")
+    assert invalid_edits > 30
+    assert problems == []
