@@ -14,13 +14,13 @@ Subcommands
 Every subcommand first checks the algebra (``validate_dgla``) and any
 declared splitting (``verify_splitting``), before the arguments of its
 query; on a violation it computes nothing more and reports FAIL with the
-violations ``validate`` lists first.  Reports render as text (default) or as stable JSON (``--format
-structured``).  Exit codes: 0 for every verdict except FAIL, or
-NON-FORMAL from ``formality``, which exit 1; unreadable input (parse
-errors, schema violations, missing files, ill-posed queries) exits 2; an
-internal error (a failed self-check, raised as an ``AssertionError``)
-prints one line on stderr and exits 3.  ``massey`` is an evidence query:
-finding a certificate still exits 0.
+violations ``validate`` lists first.  Reports render as text (default)
+or as stable JSON (``--format structured``).  Exit codes: 0 for every
+verdict except FAIL, or NON-FORMAL from ``formality``, which exit 1;
+unreadable input (parse errors, schema violations, missing files,
+ill-posed queries) exits 2; an internal error (a failed self-check,
+raised as an ``AssertionError``) prints one line on stderr and exits 3.
+``massey`` is an evidence query: finding a certificate still exits 0.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
 from .cyclic import validate_pairing
-from .dgla import compute_splitting, cohomology, validate_dgla, verify_splitting
+from .dgla import compute_splitting, cohomology
 from .documents import (
     DocumentError, ParseError, bundled_documents, document_splitting,
     document_to_algebra, document_to_quasi_cyclic, load_document,
@@ -98,9 +98,9 @@ class _Invalid(Exception):
 
 class _Run:
     """One document's stages, each run at most once: (1) the algebra, in
-    its ``QuasiCyclicDgla`` when ``pairing``; (2) the ``violations`` of
-    ``validate_dgla`` and, on a declared splitting, ``verify_splitting``,
-    whose ``failed`` verdict is raised as :class:`_Invalid` under ``gate``;
+    its ``QuasiCyclicDgla`` when ``pairing``; (2) the ``violations`` memo
+    of the algebra and, on a declared splitting, of the splitting, whose
+    ``failed`` verdict is raised as :class:`_Invalid` under ``gate``;
     (3) ``splitting``, lazily."""
 
     def __init__(self, doc, pairing=False, gate=True):
@@ -108,11 +108,11 @@ class _Run:
         self.quasi_cyclic = document_to_quasi_cyclic(doc) if pairing else None
         self.algebra = (self.quasi_cyclic.algebra if pairing
                         else document_to_algebra(doc))
-        self.violations = validate_dgla(self.algebra)
+        self.violations = list(self.algebra.violations)
         # Splitting raises ValueError on vectors that are no basis
         self.declared = document_splitting(doc, self.algebra)
         if self.declared is not None:
-            self.violations += verify_splitting(self.declared)
+            self.violations += self.declared.violations
         self.failed = None
         if self.violations:  # FAIL, the only verdict such a run gets
             self.failed = "FAIL", [_violation_finding(v)

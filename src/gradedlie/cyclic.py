@@ -22,7 +22,7 @@ from .core import (
 )
 from .dgla import (
     DgLieAlgebra, Splitting, Violation, compute_splitting,
-    invariance_violations, restrict_to_span, validate_dgla, verify_splitting,
+    invariance_violations, restrict_to_span,
 )
 
 __all__ = [
@@ -328,7 +328,7 @@ class SymplecticRepresentation:
         if not report.nondegenerate_on_L:
             rank = report.rank_on_L - 2 * self.lie_space.dim
             out.append(Violation("omega_nondegenerate", tuple(self.v_labels), f"rank {rank} < {m}"))
-        return out + validate_dgla(Q.algebra) + report.violations
+        return out + list(Q.algebra.violations) + report.violations
 
 
 def from_symplectic_representation(R: SymplecticRepresentation) -> QuasiCyclicDgla:
@@ -515,7 +515,7 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
         new_k.extend(c_vecs)
 
     result = Splitting(A, list(s.h_vectors), new_k)
-    post = verify_splitting(result)
+    post = list(result.violations)  # a copy: the memo stays as computed
     # x in K + d(K)  iff  x is orthogonal to every representative: containment
     # one way, dimension count for the converse.  The pairs (v, x) also cover
     # H perp K, the homotopy image (it lies in span K) and the adjointness of

@@ -8,11 +8,13 @@ the differential on d(K), extended by zero) used by homotopy transfer.
 Validation never raises on mathematical failures: checkers return lists
 of :class:`Violation` records naming the identity and the basis tuple
 where it breaks, so callers can report precisely what went wrong.
+Each algebra and splitting keeps its own check as ``violations``, run once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .core import (
     GradedVectorSpace, LinearMap, MultilinearMap, Vector, accumulate,
@@ -60,6 +62,14 @@ class DgLieAlgebra:
         self.d = differential
         self.bracket = bracket
 
+    @cached_property
+    def violations(self) -> tuple:
+        """:func:`validate_dgla`, on first read, as a tuple that a caller's
+        ``+=`` cannot change.  Sound: ``core`` values are immutable after
+        construction, and the one direct table write in the package
+        (``corpus.perturb_quasi_cyclic``) fills a copied bracket first."""
+        return tuple(validate_dgla(self))
+
     def operations(self) -> dict:
         """{1: d as an arity-1 map, 2: bracket}, the L-infinity view."""
         d_op = MultilinearMap(self.space, self.space, 1, 1)
@@ -99,6 +109,12 @@ def validate_dgla(A: DgLieAlgebra):
     return out
 
 
+def _require_valid(A: DgLieAlgebra) -> None:
+    """Refuse an algebra with violations: no verdict on it means anything."""
+    if A.violations:
+        raise ValueError(f"not a DG-Lie algebra: {A.violations[0]}")
+
+
 # ---------------------------------------------------------------------------
 # Splittings
 # ---------------------------------------------------------------------------
@@ -127,7 +143,8 @@ class Splitting:
         for v in list(h_vectors) + list(k_vectors):
             if v.space != L:
                 raise ValueError("splitting vectors must live in the algebra")
-            v.degree()  # raises on non-homogeneous
+            if v.degree() is None:  # degree() raises on non-homogeneous
+                raise ValueError("splitting vectors must be nonzero")
         order = lambda vs: sorted(range(len(vs)), key=lambda t: (vs[t].degree(), t))
         h_vectors = [h_vectors[t] for t in order(list(h_vectors))]
         k_vectors = [k_vectors[t] for t in order(list(k_vectors))]
@@ -164,6 +181,11 @@ class Splitting:
             h_cols[l] = Vector(L, acc)
         self.pi = LinearMap(L, self.h_space, 0, pi_cols)
         self.h = LinearMap(L, L, -1, h_cols)
+
+    @cached_property
+    def violations(self) -> tuple:
+        """:func:`verify_splitting`, memoized as the algebra's check is."""
+        return tuple(verify_splitting(self))
 
     def class_of(self, v: Vector) -> Vector:
         """Cohomology class of a cocycle, in h_space coordinates."""

@@ -6,10 +6,11 @@ the other direction, for quasi-cyclic algebras with pairing degree at most
 2 whose splitting is invariant under the degree-0 classes and orthogonally
 normalized, a recursion over pairing functionals produces the Taylor
 coefficients of an explicit structure isomorphism onto the cohomology
-graded Lie algebra -- a checkable formality witness.  Those hypotheses are checked once, by
-:func:`formality_verdict` through ``validate_pairing`` and
-``normalize_splitting``; the witness builder takes that evidence and does
-not check it again.
+graded Lie algebra -- a checkable formality witness.  Those hypotheses
+are checked once, by :func:`formality_verdict` through
+``validate_pairing`` and ``normalize_splitting``; the witness builder
+takes that evidence and does not check it again.  No verdict rests on
+an algebra that fails ``validate_dgla``: the entry points refuse it.
 
 :func:`verify_witness` is the one check of the witness's morphism
 relations up to arity N, as the transfer's own check is of the
@@ -37,7 +38,7 @@ from .core import (
     shuffle_splits,
 )
 from .dgla import (
-    DgLieAlgebra, EquivariantObstruction, Splitting,
+    DgLieAlgebra, EquivariantObstruction, Splitting, _require_valid,
     find_equivariant_splitting,
 )
 from .cyclic import (
@@ -177,7 +178,9 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
     -- then the remaining non-decreasing index triples, then all other
     ordered triples.  Every representative must be a cocycle; that is
     checked before the scan, so a certificate found early never rests on
-    a splitting that a later triple would have rejected.
+    a splitting that a later triple would have rejected; then an invalid
+    algebra raises ValueError.  With d^2 = 0, a splitting of cocycles
+    passes every contraction identity, so ``s.violations`` is not read.
 
     A triple whose class degree |a| + |b| + |c| - 1 is not a degree of H
     is skipped before any bracket: bracket, d, pi and h are homogeneous,
@@ -188,6 +191,7 @@ def detect_nonformality(A: DgLieAlgebra, s: Splitting):
     for v in reps:
         if not A.d.apply(v).is_zero():
             raise ValueError(f"triple-product input is not a cocycle: {v}")
+    _require_valid(A)
     degrees, present = [v.degree() for v in reps], set(s.h_space.degrees)
     indices = range(len(reps))
     # each triple once, at its first place in this chain
@@ -354,10 +358,10 @@ def build_formality_witness(normalized: NormalizedSplitting,
     :func:`validate_pairing` report of the pairing on the algebra and
     splitting that were normalized.  Only the cheap gates
     run here: N < 2 raises ValueError, and a pairing degree above 2 or a
-    report that is not quasi-cyclic raises WitnessRejected.  An
-    AssertionError means one of the identities the recursion relies on
-    failed; the DG-Lie identities of the algebra were not checked, so the
-    message names a broken input as well as a bug.  The morphism
+    report that is not quasi-cyclic raises WitnessRejected; the transfer
+    the witness is built on refuses an algebra that fails its DG-Lie
+    identities.  An AssertionError therefore means one of the identities
+    the recursion relies on failed on a valid input: a bug.  The morphism
     relations of the result are left to :func:`verify_witness`.  The
     invariance of the pairing functionals is not asserted either: it
     follows from the hypotheses, the equivariance of the inclusion (its
@@ -375,20 +379,13 @@ def build_formality_witness(normalized: NormalizedSplitting,
     A, H = Q.algebra, s.h_space
     n = Q.pairing.degree
     report = [f"hypotheses checked before the build: {pairing.status()}, "
-              f"degree-0 closure, invariance, orthogonality; the DG-Lie "
-              f"identities are not checked"]
+              f"degree-0 closure, invariance, orthogonality"]
     T = homotopy_transfer(A, s, N)
-    try:
-        if n <= 1:
-            report.append(f"pairing degree {n}: identity witness")
-            taylor = {1: _identity_map(H)}
-        else:
-            taylor = _build_degree_two_witness(Q, s, T, N, report)
-    except AssertionError as failure:
-        raise AssertionError(
-            f"{failure} -- the pairing and the normalization were checked, "
-            f"the DG-Lie identities were not: the input is not a DG-Lie "
-            f"algebra, or this is an implementation bug") from None
+    if n <= 1:
+        report.append(f"pairing degree {n}: identity witness")
+        taylor = {1: _identity_map(H)}
+    else:
+        taylor = _build_degree_two_witness(Q, s, T, N, report)
     return FormalityWitness(taylor, N, report, T)
 
 
@@ -579,8 +576,8 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
                       N: int) -> FormalityVerdict:
     """Decide formality up to arity N, or say why no witness is built.
 
-    In order: N < 2 raises ValueError before anything runs; the pairing
-    check on ``s``; a pairing degree above 2 is out of scope; the
+    In order: N < 2, then an invalid algebra, raise ValueError; the
+    pairing check on ``s``; a pairing degree above 2 is out of scope; the
     normalization of ``s``, which checks it against its own degree-0
     representatives; when ``s`` is not invariant under them and ``h0``
     is not empty, the equivariant search under the degree-0 classes
@@ -590,6 +587,7 @@ def formality_verdict(Q: QuasiCyclicDgla, s: Splitting, h0,
     :class:`WitnessRejected`, followed by the certificate scan on ``s``.
     """
     out_of_scope = _scope_rejection(Q, N)
+    _require_valid(Q.algebra)
     pairing = validate_pairing(Q, s)
     notes = []
 

@@ -46,7 +46,7 @@ from .core import (
     accumulate_bracket_halves, accumulate_composites, canonical_tuples,
     jacobi_defects,
 )
-from .dgla import DgLieAlgebra, Splitting, Violation, verify_splitting
+from .dgla import DgLieAlgebra, Splitting, Violation, _require_valid
 
 __all__ = [
     "LInftyAlgebra", "check_linfty_axioms",
@@ -286,9 +286,10 @@ def _level_tables(A: DgLieAlgebra, s: Splitting, N: int):
 def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
     """Transfer the DGLA structure to a minimal model on representatives.
 
-    Requires a splitting that passes verification and N >= 2.  The result
-    carries the minimal L-infinity structure on the representative space
-    and the inclusion morphism, both computed up to arity N, and the
+    Requires N >= 2 and a splitting of ``A``, and refuses with ValueError
+    a splitting, then an algebra, whose ``violations`` are not empty.  The
+    result carries the minimal L-infinity structure on the representative
+    space and the inclusion morphism, both computed up to arity N, and the
     inclusion must satisfy the morphism relations up to arity N, checked
     as each level is built and named as :func:`check_morphism` names them.
     With pi d = 0 checked and pi iota = id by construction, pi of the
@@ -299,10 +300,10 @@ def homotopy_transfer(A: DgLieAlgebra, s: Splitting, N: int) -> TransferResult:
         raise ValueError("transfer needs arity bound N >= 2")
     if s.algebra is not A:
         raise ValueError("splitting belongs to a different algebra")
-    problems = verify_splitting(s)
-    if problems:
-        details = "; ".join(v.identity for v in problems)
+    if s.violations:
+        details = "; ".join(v.identity for v in s.violations)
         raise ValueError(f"splitting fails verification: {details}")
+    _require_valid(A)
 
     iota_tables, bracket_tables, relation_failures = _level_tables(A, s, N)
     if relation_failures:

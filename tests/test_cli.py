@@ -345,21 +345,42 @@ def test_formality_arity_below_two_exits_two(corpus_files, capsys, name,
     assert err == "error: witness construction needs arity bound N >= 2\n"
 
 
+# formality's verify_splitting calls and exit code per bundled document:
+# the declared splitting, then, on a FORMAL run, the normalized one, which
+# the transfer reads from its memo instead of checking it again
+_FORMALITY_SPLITTING_CHECKS = {"diagonal-symplectic": (2, 0),
+                               "weighted-pair": (2, 0),
+                               "nocontraction": (1, 1),
+                               "noformal-degree3": (1, 1)}
+
+
 @pytest.mark.parametrize("command", ["validate", "cohomology", "transfer",
                                      "massey", "formality", "corpus"])
 def test_each_document_is_built_and_validated_once(corpus_files, capsys,
                                                    monkeypatch, command):
-    # one algebra for the checks, the splitting and the pairing
+    # one algebra for the checks, the splitting and the pairing, and one
+    # check of each splitting, whose memo the library reads
     modules = [m for name, m in sys.modules.items()
                if name.split(".")[0] == "gradedlie"]
-    builds, checks = (
+    counts = [
         counting(monkeypatch, name, *[m for m in modules if hasattr(m, name)])
-        for name in ("document_to_algebra", "validate_dgla"))
-    files = [] if command == "corpus" else [corpus_files["nocontraction"]]
-    code, out, _ = run(capsys, command, *files)
-    assert code == (1 if command == "formality" else 0), out
-    documents = len(files or bundled_documents())
-    assert (len(builds), len(checks)) == (documents, documents)
+        for name in ("document_to_algebra", "validate_dgla",
+                     "verify_splitting")]
+    if command == "corpus":
+        cases = [([], len(bundled_documents()), sum(
+            checks for checks, _ in _FORMALITY_SPLITTING_CHECKS.values()), 0)]
+    elif command == "formality":
+        cases = [([corpus_files[name]], 1, checks, code) for name, (
+            checks, code) in _FORMALITY_SPLITTING_CHECKS.items()]
+    else:
+        cases = [([corpus_files["nocontraction"]], 1, 1, 0)]
+    for files, documents, splitting_checks, expected_code in cases:
+        for calls in counts:
+            calls.clear()
+        code, out, _ = run(capsys, command, *files)
+        assert code == expected_code, out
+        assert [len(calls) for calls in counts] == [
+            documents, documents, splitting_checks], files
 
 
 def test_internal_error_exits_three_with_one_line(corpus_files, capsys,

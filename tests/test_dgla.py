@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import core
+from gradedlie import core, dgla
 from gradedlie.core import LinearMap, canonical_tuples, coordinates_in_span
 from gradedlie.dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, cohomology,
@@ -176,6 +176,37 @@ def test_splitting_rejects_wrong_count_and_dependence():
                   [V.basis_vector("b"), V.basis_vector("p")])
 
 
+def test_splitting_rejects_a_zero_vector():
+    # a zero vector has no degree to sort H and K by
+    A = nocontraction().algebra
+    V = A.space
+    h = [V.basis_vector(l) for l in ("a", "x", "y", "z")]
+    k = [V.basis_vector("b"), V.basis_vector("p")]
+    for h_bad, k_bad in ((h[:3] + [V.zero()], k), (h, [k[0], V.zero()])):
+        with pytest.raises(ValueError,
+                           match="^splitting vectors must be nonzero$"):
+            Splitting(A, h_bad, k_bad)
+
+
+def test_violations_are_checked_once_and_kept_as_a_tuple(monkeypatch):
+    A = nocontraction().algebra
+    s = compute_splitting(A)
+    broken = build_algebra([("a", 0), ("b", 0), ("x", 1)], {"a": {"x": 1}},
+                           {("a", "b"): {"a": 1}})
+    expected = tuple(validate_dgla(broken))
+    assert [v.identity for v in expected] == ["leibniz"]
+    calls = []
+    for name in ("validate_dgla", "verify_splitting"):
+        def counted(x, original=getattr(dgla, name)):
+            calls.append(x)
+            return original(x)
+        monkeypatch.setattr(dgla, name, counted)
+    for _ in range(2):
+        assert A.violations == () and s.violations == ()
+        assert broken.violations == expected
+    assert calls == [A, s, broken]
+
+
 CORPUS = standard_corpus()
 TILTS = st.one_of(st.integers(-2, 2),
                   st.fractions(min_value=-2, max_value=2, max_denominator=3))
@@ -206,6 +237,8 @@ def test_splitting_maps_agree_with_one_solve_per_basis_vector(data):
     A = Q.algebra
     h, k = tilted_splitting_vectors(compute_splitting(A), data.draw)
     if any(v.is_zero() for v in h + k):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            Splitting(A, h, k)
         return
     rows = [v.dense() for v in h + [A.d.apply(v) for v in k] + k]
     if len(rref_naive(rows)[1]) < A.space.dim:

@@ -8,6 +8,7 @@ import pytest
 from gradedlie.core import MultilinearMap, coordinates_in_span
 from gradedlie.cyclic import CyclicPairing, QuasiCyclicDgla, validate_pairing
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
+import gradedlie.dgla as dgla
 import gradedlie.linfty as linfty
 from gradedlie.linfty import homotopy_transfer
 import gradedlie.formality as formality
@@ -29,7 +30,7 @@ from gradedlie import from_symplectic_representation, normalize_splitting
 
 from oracles import (
     assert_exact_scalar, build_algebra, degree_rich_algebras,
-    detect_nonformality_naive,
+    detect_nonformality_naive, dgla_violations_naive,
 )
 
 
@@ -418,12 +419,18 @@ def scan_inputs():
 
 
 def test_scan_matches_the_brute_force_scan():
-    certified = 0
+    certified = refused = 0
     for name, A, s in scan_inputs():
         try:
             s = s or compute_splitting(A)
         except ValueError:
             continue  # d^2 != 0: no splitting to scan
+        if dgla_violations_naive(A):
+            # no certificate on an algebra that is not a DG-Lie algebra
+            with pytest.raises(ValueError, match="^not a DG-Lie algebra: "):
+                detect_nonformality(A, s)
+            refused += 1
+            continue
         expected = detect_nonformality_naive(A, s)
         certificate = detect_nonformality(A, s)
         got = certificate and (
@@ -432,6 +439,7 @@ def test_scan_matches_the_brute_force_scan():
         assert got == expected, name
         certified += expected is not None
     assert certified >= 2
+    assert refused == 14
 
 
 def test_scan_certifies_past_the_non_decreasing_triples():
@@ -483,12 +491,7 @@ def _symplectic_plane():
 def _witness_failure(Q, s, N):
     with pytest.raises(AssertionError) as info:
         build_formality_witness(*prepared(Q, s), N)
-    message = str(info.value)
-    suffix = (" -- the pairing and the normalization were checked, the "
-              "DG-Lie identities were not: the input is not a DG-Lie "
-              "algebra, or this is an implementation bug")
-    assert message.endswith(suffix)
-    return message[:-len(suffix)]
+    return str(info.value)
 
 
 def test_planted_inclusion_value_fails_inclusion_equivariance(monkeypatch):
@@ -557,28 +560,71 @@ def test_planted_coefficient_solution_fails_witness_equivariance(monkeypatch):
 
 
 def test_the_top_inclusion_check_stops_an_invalid_algebra():
-    # [x1, u1] = du1 breaks the Jacobi identity at (g, x1, u1), which
-    # formality does not check.  At N = 3 every checked relation still
-    # holds and only the equivariance check of iota_3 sees the defect; at
-    # N = 4 it is the transfer's arity-4 relation at (g, x1, x1, x1)
-    text = dict(bundled_documents())["weighted-pair"]
-    doc = parse_document(text.replace(
-        "  [x1, x2] = w\n", "  [x1, x2] = w\n  [x1, u1] = du1\n"))
+    # [x1, u1] = du1 breaks the Jacobi identity at (g, x1, u1).  At N = 3
+    # every relation the transfer and verify_witness check still holds,
+    # and only the equivariance check of iota_3 can see the defect (a
+    # planted value pins that check on a valid algebra); at N = 4 the
+    # transfer's arity-4 relation at (g, x1, x1, x1) can.  The gate
+    # refuses the algebra at every N before any of them runs.
+    Q, s, h0 = _invalid_weighted_pair()
+    for N in (3, 4):
+        with pytest.raises(ValueError) as info:
+            formality_verdict(Q, s, h0, N)
+        assert str(info.value) == (
+            "not a DG-Lie algebra: jacobi fails at (g, x1, u1): defect du1")
+
+
+def _edited_document(name, line, extra):
+    """A bundled document with ``extra`` added after ``line``: its
+    algebra, declared splitting and degree-0 classes."""
+    text = dict(bundled_documents())[name]
+    assert f"  {line}\n" in text
+    doc = parse_document(text.replace(f"  {line}\n",
+                                      f"  {line}\n  {extra}\n"))
     Q = document_to_quasi_cyclic(doc)
-    s, h0 = document_splitting(doc, Q.algebra), [Q.algebra.basis_vector("g")]
-    assert [str(v) for v in validate_dgla(Q.algebra)] == [
-        "jacobi fails at (g, x1, u1): defect du1"]
-    with pytest.raises(AssertionError) as info:
-        formality_verdict(Q, s, h0, 3)
-    assert str(info.value).startswith(
-        "arity-3 inclusion fails equivariance at ('x1', 'x1', 'x1') under "
-        "g: -6*u1 vs -9*u1 -- the pairing and the normalization were "
-        "checked")
-    with pytest.raises(AssertionError) as info:
-        formality_verdict(Q, s, h0, 4)
-    assert str(info.value) == (
-        "internal error: inclusion fails its morphism relations: "
-        "morphism_relation_4 at ('g', 'x1', 'x1', 'x1')")
+    s = document_splitting(doc, Q.algebra)
+    return Q, s, [v for v in s.h_vectors if v.degree() == 0]
+
+
+def _invalid_weighted_pair():
+    return _edited_document("weighted-pair", "[x1, x2] = w", "[x1, u1] = du1")
+
+
+def _invalid_nocontraction():
+    return _edited_document("nocontraction", "[a, x] = -db", "[a, b] = b")
+
+
+def test_the_verdict_checks_the_algebra_and_its_splitting_once(monkeypatch):
+    # the gate and the normalization check; the transfer reads both memos
+    Q = random_quasi_cyclic_two_step(random.Random(0), 2, 2)
+    s = compute_splitting(Q.algebra)
+    calls = []
+    for name in ("validate_dgla", "verify_splitting"):
+        def counted(x, name=name, original=getattr(dgla, name)):
+            calls.append(name)
+            return original(x)
+        monkeypatch.setattr(dgla, name, counted)
+    verdict = formality_verdict(Q, s, degree_zero(s), 4)
+    assert verdict.status == "FORMAL-UP-TO-4"
+    assert calls == ["validate_dgla", "verify_splitting"]
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (_invalid_weighted_pair, "jacobi fails at (g, x1, u1): defect du1"),
+    (_invalid_nocontraction, "leibniz fails at (a, b): defect db")],
+    ids=["weighted-pair", "nocontraction"])
+@pytest.mark.parametrize("entry", [
+    lambda Q, s, h0: homotopy_transfer(Q.algebra, s, 3),
+    lambda Q, s, h0: detect_nonformality(Q.algebra, s),
+    lambda Q, s, h0: formality_verdict(Q, s, h0, 3)],
+    ids=["homotopy_transfer", "detect_nonformality", "formality_verdict"])
+def test_the_library_entry_points_refuse_an_invalid_algebra(edit, violation,
+                                                            entry):
+    Q, s, h0 = edit()
+    assert str(validate_dgla(Q.algebra)[0]) == violation
+    with pytest.raises(ValueError) as info:
+        entry(Q, s, h0)
+    assert str(info.value) == f"not a DG-Lie algebra: {violation}"
 
 
 # The builder leaves the morphism relations to verify_witness: a defect
@@ -656,9 +702,9 @@ def test_a_degenerate_gram_matrix_stops_the_coefficient_solves(monkeypatch,
     monkeypatch.setattr(Q.pairing, "pullback", lambda space, vectors: planted)
     with pytest.raises(AssertionError) as info:
         build_formality_witness(*args, 3)
-    assert str(info.value).startswith(
+    assert str(info.value) == (
         "induced pairing is degenerate on the degree-1 classes; the "
-        "coefficient solves cannot be unique -- ")
+        "coefficient solves cannot be unique")
 
 
 def test_hollow_inclusion_functionals_fail_the_independent_check(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedlie.core import GradedVectorSpace, MultilinearMap, canonical_tuples
-from gradedlie import core, linfty
+from gradedlie import core, dgla, linfty
 from gradedlie.dgla import Splitting, cohomology, compute_splitting
 from gradedlie.linfty import (
     LInftyAlgebra, LInftyMorphismToDgla, check_linfty_axioms, check_morphism,
@@ -381,15 +381,16 @@ def test_transfer_rejects_bad_inputs():
 
 def test_a_non_cocycle_representative_fails_the_arity_one_relation(
         monkeypatch):
-    # verify_splitting refuses this splitting first; past it, the transfer's
-    # own check of d(iota_1 x) = 0 names the representative x + p
+    # verify_splitting refuses this splitting first; past it (a stubbed
+    # check fills the splitting's memo), the transfer's own check of
+    # d(iota_1 x) = 0 names the representative x + p
     A = nocontraction().algebra
     V = A.space
     broken = Splitting(A, [V.basis_vector("a"),
                            V.basis_vector("x") + V.basis_vector("p"),
                            V.basis_vector("y"), V.basis_vector("z")],
                        [V.basis_vector("b"), V.basis_vector("p")])
-    monkeypatch.setattr(linfty, "verify_splitting", lambda s: [])
+    monkeypatch.setattr(dgla, "verify_splitting", lambda s: [])
     with pytest.raises(AssertionError) as info:
         homotopy_transfer(A, broken, 3)
     assert str(info.value) == (
