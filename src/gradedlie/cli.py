@@ -11,9 +11,9 @@ Subcommands
                 independent check, certificate scan on a rejection
     corpus      golden expectations over the bundled example documents
 
-Every subcommand first checks the algebra (``validate_dgla``) and any
-declared splitting (``verify_splitting``), before the arguments of its
-query; on a violation it computes nothing more and reports FAIL with the
+Each file subcommand loads its document once and checks the algebra
+(``validate_dgla``) and any declared splitting (``verify_splitting``)
+before its query and its pairing; a violation gives FAIL with the
 violations ``validate`` lists first.  Reports render as text (default)
 or as stable JSON (``--format structured``).  Exit codes: 0 for every
 verdict except FAIL, or NON-FORMAL from ``formality``, which exit 1;
@@ -92,33 +92,26 @@ def _certificate_finding(certificate) -> dict:
 # Subcommands: one staged run per document, rendered by each handler
 # ---------------------------------------------------------------------------
 
-class _Invalid(Exception):
-    """Stage 2 found violations; ``args`` are the command's FAIL verdict."""
-
-
 class _Run:
     """One document's stages, each run at most once: (1) the algebra, in
-    its ``QuasiCyclicDgla`` when ``pairing``; (2) the ``violations`` memo
-    of the algebra and, on a declared splitting, of the splitting, whose
-    ``failed`` verdict is raised as :class:`_Invalid` under ``gate``;
+    its ``QuasiCyclicDgla`` if a pairing is declared; (2) the algebra's and
+    any declared splitting's ``violations``, and their ``failed`` verdict;
     (3) ``splitting``, lazily."""
 
-    def __init__(self, doc, pairing=False, gate=True):
+    def __init__(self, doc):
         self.doc = doc
-        self.quasi_cyclic = document_to_quasi_cyclic(doc) if pairing else None
-        self.algebra = (self.quasi_cyclic.algebra if pairing
+        self.quasi_cyclic = (document_to_quasi_cyclic(doc)
+                             if doc.pairing_degree is not None else None)
+        self.algebra = (self.quasi_cyclic.algebra if self.quasi_cyclic
                         else document_to_algebra(doc))
         self.violations = list(self.algebra.violations)
         # Splitting raises ValueError on vectors that are no basis
         self.declared = document_splitting(doc, self.algebra)
         if self.declared is not None:
             self.violations += self.declared.violations
-        self.failed = None
-        if self.violations:  # FAIL, the only verdict such a run gets
-            self.failed = "FAIL", [_violation_finding(v)
-                                   for v in self.violations]
-            if gate:
-                raise _Invalid(*self.failed)
+        findings = [_violation_finding(v) for v in self.violations]
+        # FAIL, the only verdict such a run gets
+        self.failed = ("FAIL", findings) if findings else None
 
     @cached_property
     def splitting(self):
@@ -126,7 +119,7 @@ class _Run:
                 else compute_splitting(self.algebra))
 
 
-def _validate(run):
+def cmd_validate(run) -> tuple:
     findings = [_violation_finding(v) for v in run.violations]
     Q, quasi_cyclic = run.quasi_cyclic, True
     if (Q is not None and run.declared is None
@@ -147,8 +140,10 @@ def _validate(run):
     return status, findings
 
 
-def _formality(run, arity=None):
-    Q, s0 = run.quasi_cyclic, run.splitting
+def cmd_formality(run, arity=None) -> tuple:
+    # a document with no pairing makes document_to_quasi_cyclic raise
+    Q = run.quasi_cyclic or document_to_quasi_cyclic(run.doc)
+    s0 = run.splitting
     if run.doc.h0_labels is not None:
         h0 = [Q.algebra.basis_vector(label) for label in run.doc.h0_labels]
     else:
@@ -188,13 +183,7 @@ def _formality(run, arity=None):
     return verdict.status, findings
 
 
-def cmd_validate(args) -> tuple:
-    doc = load_document(args.file)
-    return _validate(_Run(doc, doc.pairing_degree is not None, gate=False))
-
-
-def cmd_cohomology(args) -> tuple:
-    run = _Run(load_document(args.file))
+def cmd_cohomology(run) -> tuple:
     presentation = cohomology(run.algebra, run.splitting)
     findings = [{"kind": "dimensions",
                  "by_degree": [[d, n] for d, n in sorted(
@@ -212,10 +201,9 @@ def cmd_cohomology(args) -> tuple:
     return status, findings
 
 
-def cmd_transfer(args) -> tuple:
-    run = _Run(load_document(args.file))
+def cmd_transfer(run, arity) -> tuple:
     s = run.splitting
-    N = args.arity if args.arity is not None else len(s.h_vectors) + 2
+    N = arity if arity is not None else len(s.h_vectors) + 2
     T = homotopy_transfer(run.algebra, s, N)
     findings = []
     for p in range(1, N + 1):
@@ -234,21 +222,20 @@ def cmd_transfer(args) -> tuple:
     return "PASS" if not problems else "FAIL", findings
 
 
-def cmd_massey(args) -> tuple:
-    run = _Run(load_document(args.file))
+def cmd_massey(run, triple) -> tuple:
     A, s = run.algebra, run.splitting
-    if args.triple:
-        for label in args.triple:
+    if triple:
+        for label in triple:
             if label not in A.space.labels:
                 raise DocumentError(f"unknown basis label {label!r}",
                                     "triple")
-        product = massey_triple(A, s, *args.triple)
+        product = massey_triple(A, s, *triple)
         if product is None:
-            finding = {"kind": "triple-product", "triple": list(args.triple),
+            finding = {"kind": "triple-product", "triple": list(triple),
                        "defined": False}
         else:
             finding = {
-                "kind": "triple-product", "triple": list(args.triple),
+                "kind": "triple-product", "triple": list(triple),
                 "defined": True, "class": repr(product.class_vector),
                 "representative": repr(product.representative),
                 "indeterminacy": [repr(v) for v in product.indeterminacy],
@@ -261,10 +248,6 @@ def cmd_massey(args) -> tuple:
                           "vanishing triple products prove nothing")]
         return "INCONCLUSIVE", findings
     return "NON-FORMAL", [_certificate_finding(certificate)]
-
-
-def cmd_formality(args) -> tuple:
-    return _formality(_Run(load_document(args.file), pairing=True), args.arity)
 
 
 _EXPECTED_CORPUS = {
@@ -281,16 +264,16 @@ _EXPECTED_CORPUS = {
 }
 
 
-def cmd_corpus(args) -> tuple:
+def cmd_corpus() -> tuple:
     findings = []
     seen = set()
     for name, text in bundled_documents():
-        run = _Run(parse_document(text), pairing=True, gate=False)
+        run = _Run(parse_document(text))
         seen.add(name)
-        validate_status, validate_findings = _validate(run)
+        validate_status, validate_findings = cmd_validate(run)
         pairing = next((f["text"] for f in validate_findings
                         if f["kind"] == "pairing-status"), "none")
-        formality_status = (run.failed or _formality(run))[0]
+        formality_status = (run.failed or cmd_formality(run))[0]
         expected = _EXPECTED_CORPUS.get(name)
         got = {"validate": validate_status, "pairing": pairing,
                "formality": formality_status}
@@ -399,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gradedlie",
         description="Exact minimal models, Massey products, and formality "
                     "certificates for differential graded Lie algebras.",
-        epilog="Every subcommand first validates the algebra and any "
-               "declared splitting, before the query's arguments; a "
-               "violation gives FAIL.  "
+        epilog="Each file subcommand loads its document once and "
+               "validates the algebra and any declared splitting before "
+               "its query and its pairing; a violation gives FAIL.  "
                "Exit codes: 0 verdict computed (PASS, INCONCLUSIVE, "
                "REJECTED, FORMAL-UP-TO-N, and NON-FORMAL outside "
                "'formality'); 1 FAIL, or NON-FORMAL from 'formality'; "
@@ -425,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text", help="report rendering")
         cmd.set_defaults(handler=handler)
 
+    # validate is the one subcommand that renders an invalid run
     add("validate", cmd_validate,
         "check the graded Leibniz/Jacobi identities and the pairing")
     add("cohomology", cmd_cohomology,
@@ -445,9 +429,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report = Report(args.command, *args.handler(args))
-    except _Invalid as invalid:
-        report = Report(args.command, *invalid.args)
+        if "file" in args:  # one run per document, checked before the query
+            run = _Run(load_document(args.file))
+            query = {k: v for k, v in vars(args).items()
+                     if k in ("arity", "triple")}
+            result = (run.failed if run.failed and args.command != "validate"
+                      else args.handler(run, **query))
+        else:
+            result = args.handler()
+        report = Report(args.command, *result)
     except (ParseError, DocumentError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

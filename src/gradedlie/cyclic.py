@@ -445,10 +445,12 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
     their adjoint action in positive degrees.  When the ambient algebra
     has negative-degree elements it is first cut down to the
     quasi-isomorphic subalgebra spanned by the degree-0 representatives
-    and everything in positive degrees.  Then each K^i is replaced by
-    C^i = {x in H^i + K^i : (x, H^{n-i}) = 0}; the exchange is an
-    isomorphism exactly when the representative pairing is perfect, and
-    failure is reported as such.
+    and everything in positive degrees; on a valid algebra it takes the
+    empty ``violations`` memo without a check, as a span closed under d
+    and the bracket of a valid DG-Lie algebra is one.  Then each K^i is
+    replaced by C^i = {x in H^i + K^i : (x, H^{n-i}) = 0}; the exchange
+    is an isomorphism exactly when the representative pairing is perfect,
+    and failure is reported as such.
 
     A returned splitting therefore satisfies every hypothesis that
     ``formality.build_formality_witness`` relies on and does not check
@@ -472,6 +474,8 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
         span += [v for v in s.k_vectors if v.degree() > 0]
         span += [A.d.apply(v) for v in s.k_vectors if v.degree() > 0]
         sub, _ = restrict_to_span(A, span)
+        if not A.violations:
+            sub.violations = ()
         sub_form = form.pullback(sub.space, span)
 
         def pull(vec):

@@ -358,29 +358,31 @@ _FORMALITY_SPLITTING_CHECKS = {"diagonal-symplectic": (2, 0),
                                      "massey", "formality", "corpus"])
 def test_each_document_is_built_and_validated_once(corpus_files, capsys,
                                                    monkeypatch, command):
-    # one algebra for the checks, the splitting and the pairing, and one
-    # check of each splitting, whose memo the library reads
+    # one load per file subcommand (corpus parses its bundled texts), one
+    # algebra, in its pairing, for the checks, the splitting and the query,
+    # and one check of each splitting, whose memo the library reads
     modules = [m for name, m in sys.modules.items()
                if name.split(".")[0] == "gradedlie"]
     counts = [
         counting(monkeypatch, name, *[m for m in modules if hasattr(m, name)])
-        for name in ("document_to_algebra", "validate_dgla",
+        for name in ("load_document", "document_to_quasi_cyclic",
+                     "document_to_algebra", "validate_dgla",
                      "verify_splitting")]
     if command == "corpus":
-        cases = [([], len(bundled_documents()), sum(
+        cases = [([], 0, len(bundled_documents()), sum(
             checks for checks, _ in _FORMALITY_SPLITTING_CHECKS.values()), 0)]
     elif command == "formality":
-        cases = [([corpus_files[name]], 1, checks, code) for name, (
+        cases = [([corpus_files[name]], 1, 1, checks, code) for name, (
             checks, code) in _FORMALITY_SPLITTING_CHECKS.items()]
     else:
-        cases = [([corpus_files["nocontraction"]], 1, 1, 0)]
-    for files, documents, splitting_checks, expected_code in cases:
+        cases = [([corpus_files["nocontraction"]], 1, 1, 1, 0)]
+    for files, loads, documents, splitting_checks, expected_code in cases:
         for calls in counts:
             calls.clear()
         code, out, _ = run(capsys, command, *files)
         assert code == expected_code, out
         assert [len(calls) for calls in counts] == [
-            documents, documents, splitting_checks], files
+            loads, documents, documents, documents, splitting_checks], files
 
 
 def test_internal_error_exits_three_with_one_line(corpus_files, capsys,
@@ -429,6 +431,39 @@ def test_an_invalid_algebra_fails_with_the_violations_of_validate(
     report = json.loads(out)
     assert report["status"] == "FAIL"
     assert report["findings"] == violations
+
+
+_NO_PAIRING = "name ok\nfield Q\n\nbasis\n  a 0\n  x 1\n\ndifferential\n"
+
+
+def test_formality_without_a_pairing_exits_two(tmp_path, capsys):
+    path = tmp_path / "nopairing.alg"
+    path.write_text(_NO_PAIRING + "  a -> x\n", encoding="utf-8")
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, "formality", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: at pairing: this command needs a pairing, but the "
+                   "document declares none\n")
+
+
+def test_formality_without_a_pairing_checks_the_algebra_first(tmp_path,
+                                                              capsys):
+    # d(d(a)) = z: the algebra check comes before the missing pairing
+    path = tmp_path / "nopairing.alg"
+    path.write_text(_NO_PAIRING.replace("  x 1\n", "  x 1\n  z 2\n")
+                    + "  a -> x\n  x -> z\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path), "--format",
+                         "structured")
+    assert code == 1 and err == ""
+    findings = json.loads(out)["findings"]
+    assert [f["kind"] for f in findings] == ["violation", "note"]
+    code, out, err = run(capsys, "formality", str(path), "--format",
+                         "structured")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "FAIL"
+    assert report["findings"] == findings[:1]
+    assert findings[0]["identity"] == "d_squared"
 
 
 def test_formality_on_an_invalid_algebra_fails_at_the_top_arity(

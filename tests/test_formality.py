@@ -609,6 +609,26 @@ def test_the_verdict_checks_the_algebra_and_its_splitting_once(monkeypatch):
     assert calls == ["validate_dgla", "verify_splitting"]
 
 
+def test_the_restricted_subalgebra_of_a_valid_algebra_is_not_checked_again(
+        monkeypatch):
+    # q in degree -1 makes normalize_splitting restrict to the span of e1
+    # and f1, which inherits the gate's empty memo
+    A = build_algebra([("q", -1), ("dq", 0), ("e1", 1), ("f1", 1)],
+                      {"q": {"dq": 1}}, {})
+    Q = QuasiCyclicDgla(A, CyclicPairing(A.space, 2, [(("e1", "f1"), 1)]))
+    dims = []
+
+    def counted(B, original=dgla.validate_dgla):
+        dims.append(B.space.dim)
+        return original(B)
+    monkeypatch.setattr(dgla, "validate_dgla", counted)
+    verdict = formality_verdict(Q, compute_splitting(A), [], 4)
+    assert verdict.status == "FORMAL-UP-TO-4"
+    assert "normalization: restricted to a subalgebra of dimension 2" in (
+        verdict.notes)
+    assert dims == [4]
+
+
 @pytest.mark.parametrize("edit, violation", [
     (_invalid_weighted_pair, "jacobi fails at (g, x1, u1): defect du1"),
     (_invalid_nocontraction, "leibniz fails at (a, b): defect db")],
