@@ -2,7 +2,8 @@
 
 A pairing here is a graded-symmetric bilinear form of fixed total degree
 that is compatible with the differential (closed) and with the bracket
-(cyclic), one identity checked in one sparse scan over the Gram rows.
+(cyclic), one identity checked in one scan over the stored entries of d
+and the bracket; every read of the form lowers each vector once.
 Strictly cyclic means non-degenerate on the whole algebra; quasi-cyclic
 only demands non-degeneracy of the induced form on cohomology.  The
 module also provides the symplectic-representation constructor for
@@ -14,11 +15,12 @@ representatives.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (
-    GradedVectorSpace, LinearMap, MultilinearMap, Scalar, Vector, accumulate,
-    as_scalar, coordinates_in_span, kernel_vectors, rref,
+    GradedVectorSpace, LinearMap, MultilinearMap, Scalar, Vector, as_scalar,
+    coordinates_in_span, kernel_vectors, rref,
 )
 from .dgla import (
     DgLieAlgebra, Splitting, Violation, compute_splitting,
@@ -67,6 +69,11 @@ class CyclicPairing:
         sign = -1 if (di % 2 and dj % 2) else 1
         if i > j:
             i, j, value = j, i, value * sign
+        old = self._rows[i].get(j)
+        if old is not None and old != value:  # a zero over a value too
+            raise ValueError(
+                f"conflicting values for ({self.space.labels[i]}, "
+                f"{self.space.labels[j]}): {old} vs {value}")
         if value == 0:
             return
         if i == j and di % 2:
@@ -77,47 +84,36 @@ class CyclicPairing:
             raise ValueError(
                 f"entry ({self.space.labels[i]}, {self.space.labels[j]}) has degree "
                 f"{di + dj}, form has degree {self.degree}")
-        old = self._rows[i].get(j)
-        if old is not None and old != value:
-            raise ValueError(
-                f"conflicting values for ({self.space.labels[i]}, "
-                f"{self.space.labels[j]}): {old} vs {value}")
         self._rows[i][j] = value
         self._rows[j][i] = value * sign
 
     def value_indices(self, i: int, j: int) -> Scalar:
         return self._rows[i].get(j, 0)
 
-    def evaluate(self, u: Vector, v: Vector) -> Scalar:
-        total = 0
-        for i, cu in u.coeffs.items():
+    def lower(self, v: Vector) -> Vector:
+        """The row image {j: (v, e_j)}, built in one pass over the Gram rows
+        of v's support; (v, w) is then this image dotted with w."""
+        image = {}
+        for i, c in v.coeffs.items():
             for j, val in self._rows[i].items():
-                cv = v.coeffs.get(j)
-                if cv:
-                    total += cu * cv * val
-        return as_scalar(total)
+                image[j] = image.get(j, 0) + c * val
+        return Vector(self.space, image)
+
+    def evaluate(self, u: Vector, v: Vector) -> Scalar:
+        return _dot(self.lower(u), v)
 
     def pullback(self, space: GradedVectorSpace, vectors) -> "CyclicPairing":
         """The form on ``space`` with (e_a, e_b) = (vectors[a], vectors[b]):
-        each entry is one sparse dot product with a row image built once
-        per vector, and :meth:`set_entry` refuses it in a wrong degree."""
+        each vector is lowered once, and :meth:`set_entry` refuses an entry
+        of a wrong degree."""
         out = CyclicPairing(space, self.degree)
         for a, u in enumerate(vectors):
-            image = {}
-            for i, c in u.coeffs.items():
-                for j, val in self._rows[i].items():
-                    image[j] = image.get(j, 0) + c * val
+            image = self.lower(u)
             for b in range(a, len(vectors)):
-                val = sum([image.get(j, 0) * c
-                           for j, c in vectors[b].coeffs.items()])
+                val = _dot(image, vectors[b])
                 if val:
                     out.set_entry((a, b), val)
         return out
-
-    def rows(self) -> list:
-        """The sparse Gram rows, row a holding (e_a, e_b) at b; each call
-        hands out copies, so a later ``set_entry`` leaves them as they are."""
-        return [Vector._owning(self.space, dict(row)) for row in self._rows]
 
     def entries(self):
         """The upper half of the Gram rows, ((i, j), value) with i <= j, in
@@ -127,6 +123,12 @@ class CyclicPairing:
 
     def __repr__(self):
         return f"CyclicPairing(degree {self.degree}, {len(self.entries())} entries)"
+
+
+def _dot(image: Vector, v: Vector) -> Scalar:
+    """sum_j image_j v_j: a lowered vector paired with ``v``."""
+    get = image.coeffs.get
+    return as_scalar(sum([get(j, 0) * c for j, c in v.coeffs.items()]))
 
 
 class QuasiCyclicDgla:
@@ -185,31 +187,30 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     :class:`CyclicPairing` itself, which writes each entry to both of its
     Gram rows, the mirrored one with the symmetry sign, and refuses
     wrong-degree and odd-diagonal entries, so no form can fail them here.
-    Closedness and cyclicity are one identity, checked by one scan of the
-    Gram rows (:func:`_compatibility_violations`) that also give the rank
-    on L; failures are collected as violations, never raised.  The
-    induced form on cohomology is the pairing pulled back onto the given
-    splitting's representatives (a canonical splitting is computed when
-    none is supplied), and its rows give the rank on H.
+    Closedness and cyclicity are one identity, checked by one scan over
+    the supports of d and the bracket (:func:`_compatibility_violations`);
+    failures are collected as violations, never raised.  The induced form
+    on cohomology is the pairing pulled back onto the given splitting's
+    representatives (a canonical splitting is computed when none is
+    supplied); the Gram matrices give the ranks on L and on H.
     """
     A, form = Q.algebra, Q.pairing
-    rows = form.rows()
-    out = _compatibility_violations(A.operations(), rows)
+    out = _compatibility_violations(A.operations(), form)
 
     s = splitting if splitting is not None else compute_splitting(A)
     reps = s.h_vectors
-    induced = form.pullback(s.h_space, reps).rows()
-    rank_h = len(rref([row.dense() for row in induced])[1]) if reps else 0
-    rank_l = len(rref([row.dense() for row in rows])[1])
+    rank_h = _gram_rank(form.pullback(s.h_space, reps))
+    rank_l = _gram_rank(form)
 
     # consequences of closedness, asserted against the splitting
     for dk in s.dk_vectors:
+        image = form.lower(dk)
         for x in reps:
-            if form.evaluate(x, dk):
+            if _dot(image, x):
                 out.append(Violation("orthogonality_H_dK",
                                      (repr(x), repr(dk)), "nonzero pairing"))
         for k2, dk2 in zip(s.k_vectors, s.dk_vectors):
-            if form.evaluate(dk, dk2):
+            if _dot(image, dk2):
                 out.append(Violation("orthogonality_dK_dK",
                                      (repr(dk), repr(k2)), "nonzero pairing"))
 
@@ -217,7 +218,7 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     return PairingReport(
         degree=form.degree,
         cyclic_on_L=clean,
-        nondegenerate_on_L=(rank_l == len(rows)),
+        nondegenerate_on_L=(rank_l == form.space.dim),
         nondegenerate_on_H=(rank_h == len(reps)),
         rank_on_L=rank_l,
         rank_on_H=rank_h,
@@ -225,46 +226,43 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
     )
 
 
-def _compatibility_violations(ops: dict, rows: list) -> list:
+def _gram_rank(form: CyclicPairing) -> int:
+    dim = form.space.dim
+    return len(rref([[form.value_indices(i, j) for j in range(dim)]
+                     for i in range(dim)])[1])
+
+
+def _compatibility_violations(ops: dict, form: CyclicPairing) -> list:
     """Every basis tuple where (op(e_i, rest), e_k) != eps (e_i, op(rest, e_k)).
 
     With eps = (-1)^{deg(op) (|i|+1)}, this is closedness for op = d
     (``ops[1]``, rest empty) and cyclicity for the bracket (``ops[2]``,
-    rest = (j,)).  The defect is the coefficient of k in
-    sum_a op(e_i, rest)_a * row_a  minus  eps * sum_b row_i[b] * col^b,
-    where col^b lists, over k, the coefficient of e_b in op(rest, e_k).
-    Both sums are sparse, so only tuples where one side is nonzero are
-    visited, and the defect can be nonzero nowhere else: the check stays
-    exhaustive.  Violations come out as ``pairing_closed`` in (i, k)
-    order, then ``pairing_cyclic`` in (i, j, k) order.
+    rest = (j,)).  Only the op's support is walked: each ordering ``args``
+    of a stored key is evaluated and lowered once, to w = lower(op(args)),
+    whose entry w_k is the left side at args + (k,) and, times the mirror
+    sign (-1)^{|i|(n-|i|)} of the form's degree n, the right side's
+    (e_i, op(args)) at (i,) + args.  Either side is nonzero only on such
+    tuples, so the check stays exhaustive.  Violations come out as
+    ``pairing_closed`` in (i, k) order, then ``pairing_cyclic`` in
+    (i, j, k) order.
     """
+    space, n = form.space, form.degree
     out = []
     for identity, op in (("pairing_closed", ops[1]), ("pairing_cyclic", ops[2])):
-        space = op.domain
-        rests = list(itertools.product(range(space.dim), repeat=op.arity - 1))
-        cols = {}
-        for rest in rests:
-            by_b = {}
-            for k in range(space.dim):
-                for b, c in op.evaluate_indices(rest + (k,)).coeffs.items():
-                    by_b.setdefault(b, {})[k] = c
-            cols[rest] = {b: Vector(space, col) for b, col in by_b.items()}
-        for i, row in enumerate(rows):
-            eps = -1 if op.degree * (space.degrees[i] + 1) % 2 else 1
-            row_i = row.coeffs.items()
-            for rest in rests:
-                acc = {}
-                for a, c in op.evaluate_indices((i,) + rest).coeffs.items():
-                    accumulate(acc, rows[a], c)
-                col = cols[rest]
-                for b, c in row_i:
-                    col_b = col.get(b)
-                    if col_b is not None:
-                        accumulate(acc, col_b, -eps * c)
-                for k in sorted(acc):
-                    out.append(Violation(
-                        identity, tuple(space.labels[t] for t in (i,) + rest + (k,)),
-                        f"defect {acc[k]}"))
+        # -eps * mirror sign, the factor of w_i on the right side
+        right = [-1 if (op.degree * (d + 1) + d * (n - d)) % 2 == 0 else 1
+                 for d in space.degrees]
+        defects = Counter()
+        for key in op.table:
+            for args in set(itertools.permutations(key)):
+                w = form.lower(op.evaluate_indices(args))
+                for k, c in w.coeffs.items():
+                    defects[args + (k,)] += c
+                    defects[(k,) + args] += right[k] * c
+        for t in sorted(defects):
+            if defects[t]:
+                out.append(Violation(identity, tuple(space.labels[x] for x in t),
+                                     f"defect {as_scalar(defects[t])}"))
     return out
 
 
@@ -500,7 +498,8 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
         k_deg = [v for v in s.k_vectors if v.degree() == deg]
         mixed = h_deg + k_deg
         duals = h_by_deg.get(n - deg, [])
-        rows = [[form.evaluate(x, y) for x in mixed] for y in duals]
+        images = [form.lower(x) for x in mixed]
+        rows = [[_dot(image, y) for image in images] for y in duals]
         c_vecs = []
         for coords in kernel_vectors(rows, len(mixed)):
             vec = A.space.zero()
@@ -526,16 +525,15 @@ def normalize_splitting(Q: QuasiCyclicDgla, s: Splitting) -> NormalizedSplitting
     # the projection, which fails only where some (v, x) is nonzero.
     kdk = result.k_vectors + result.dk_vectors
     if result.h_vectors:
-        constraint = [[form.evaluate(A.space.basis_vector(i), x)
-                       for i in range(A.space.dim)] for x in result.h_vectors]
-        perp_dim = A.space.dim - len(rref(constraint)[1])
+        images = [form.lower(x) for x in result.h_vectors]
+        perp_dim = A.space.dim - len(rref([image.dense() for image in images])[1])
         if perp_dim != len(kdk):
             post.append(Violation("orthogonal_complement", ("dim",),
                                   f"perp of H has dimension {perp_dim}, "
                                   f"K + d(K) has {len(kdk)}"))
         for v in kdk:
-            for x in result.h_vectors:
-                if form.evaluate(v, x):
+            for x, image in zip(result.h_vectors, images):
+                if _dot(image, v):
                     post.append(Violation("orthogonal_complement",
                                           (repr(v), repr(x)), "not orthogonal"))
     if post:

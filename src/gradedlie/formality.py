@@ -43,7 +43,7 @@ from .dgla import (
 )
 from .cyclic import (
     NormalizationError, NormalizedSplitting, PairingReport, QuasiCyclicDgla,
-    normalize_splitting, validate_pairing,
+    _dot, normalize_splitting, validate_pairing,
 )
 from .linfty import (
     LInftyMorphismToDgla, TransferResult, check_morphism, homotopy_transfer,
@@ -254,7 +254,7 @@ def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
         raise ValueError(
             f"arity out of range: needs inclusion tables to arity "
             f"{max(j, p - j)}, transfer computed to {T.arity_bound}")
-    table = _pairing_table(pairing.evaluate, T.inclusion.component(j),
+    table = _pairing_table(pairing, T.inclusion.component(j),
                            T.inclusion.component(p - j))
     if p >= 3 and j in (1, p - 1) and table:
         raise AssertionError(
@@ -264,25 +264,26 @@ def compute_I(T: TransferResult, pairing, p: int, j: int) -> PairingFunctional:
     return PairingFunctional(p, (j, p - j), table)
 
 
-def _compute_F(pair_classes, f_tables, p: int, j: int) -> PairingFunctional:
+def _compute_F(h_form, f_tables, p: int, j: int) -> PairingFunctional:
     """Pair witness coefficients f_j against f_{p-j} on degree-1 tuples."""
     left_map = f_tables.get(j)
     right_map = f_tables.get(p - j)
     table = {}
     if left_map is not None and right_map is not None:
-        table = _pairing_table(pair_classes, left_map, right_map)
+        table = _pairing_table(h_form, left_map, right_map)
     return PairingFunctional(p, (j, p - j), table)
 
 
-def _pairing_table(pair, left_map, right_map) -> dict:
-    """``pair`` of the two maps' values on sorted degree-1 blocks, nonzero
-    entries only, keyed by the joined blocks."""
+def _pairing_table(form, left_map, right_map) -> dict:
+    """``form`` on the two maps' values on sorted degree-1 blocks, nonzero
+    entries only, keyed by the joined blocks; each left value lowered once."""
     lefts = _nonzero_values(left_map)
     rights = _nonzero_values(right_map) if lefts else []
     table = {}
     for left, lv in lefts:
+        image = form.lower(lv)
         for right, rv in rights:
-            val = pair(lv, rv)
+            val = _dot(image, rv)
             if val:
                 table[left + right] = val
     return table
@@ -467,7 +468,7 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
         # the functionals of splits (j, p + 1 - j), 2 <= j <= p - 1: the
         # boundary splits vanish under the normalization
         funcs = [(compute_I(T, Q.pairing, p + 1, j),
-                  _compute_F(h_form.evaluate, f_tables, p + 1, j))
+                  _compute_F(h_form, f_tables, p + 1, j))
                  for j in range(2, p)]
         f_p = MultilinearMap(H, H, p, 1 - p)
         for idx in itertools.combinations_with_replacement(h1, p):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie.core import GradedVectorSpace, Vector, coordinates_in_span
+from gradedlie.core import (
+    GradedVectorSpace, MultilinearMap, Vector, coordinates_in_span,
+)
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
     SymplecticRepresentation, from_symplectic_representation,
@@ -143,14 +145,12 @@ def test_degree_two_bracket_sign_is_forced():
         V.basis_vector("a"), V.basis_vector("x"))) == "-db"
 
 
-def test_gram_rows_carry_the_mirror_sign_and_are_handed_out_as_copies():
+def test_gram_rows_carry_the_mirror_sign():
     Q = nocontraction()
     form = CyclicPairing(Q.space, 2)
-    before = form.rows()
     form.set_entry(("x", "y"), -1)
     i, j = Q.space.index("x"), Q.space.index("y")  # odd-odd: (y, x) = -(x, y)
-    assert form.rows()[j].coefficient(i) == 1 == -form.rows()[i].coefficient(j)
-    assert all(row.is_zero() for row in before)
+    assert form.value_indices(j, i) == 1 == -form.value_indices(i, j)
 
 
 def test_a_conflicting_value_on_the_mirrored_pair_raises():
@@ -160,6 +160,13 @@ def test_a_conflicting_value_on_the_mirrored_pair_raises():
     with pytest.raises(ValueError,
                        match=r"conflicting values for \(x, y\): -1 vs 1"):
         form.set_entry(("y", "x"), -1)
+    # a zero is a value too, on the pair itself or on its mirror
+    for key in (("x", "y"), ("y", "x")):
+        with pytest.raises(ValueError,
+                           match=r"conflicting values for \(x, y\): -1 vs 0"):
+            form.set_entry(key, 0)
+    with pytest.raises(ValueError, match="conflicting"):
+        CyclicPairing(Q.space, 2, [(("x", "y"), 1), (("y", "x"), 0)])
 
 
 def test_closedness_failure_is_reported_with_its_pair():
@@ -419,21 +426,42 @@ def test_cyclicity_violations_agree_with_the_dense_triple_loop(named, edits, rng
         violations = validate_pairing(Q).violations
     else:  # no splitting exists; check the scan on its own
         violations = _compatibility_violations(Q.algebra.operations(),
-                                               Q.pairing.rows())
+                                               Q.pairing)
     for identity, naive in (("pairing_closed", pairing_closed_violations_naive),
                             ("pairing_cyclic", pairing_cyclic_violations_naive)):
         got = [(v.where, v.detail) for v in violations
                if v.identity == identity]
         assert got == naive(Q), (identity, name)
     V = Q.space
-    rows = Q.pairing.rows()
     for i in range(V.dim):
         for j in range(V.dim):
             assert_exact_scalar(Q.pairing.value_indices(i, j))
-            assert rows[i].coefficient(j) == Q.pairing.value_indices(i, j)
             assert_exact_scalar(Q.pairing.evaluate(
                 V.basis_vector(i).scale(rng.choice([1, Fraction(1, 2)])),
                 V.basis_vector(j).scale(2)))
+
+
+def test_the_compatibility_scan_reads_only_the_support(monkeypatch):
+    counts = {}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(MultilinearMap, "evaluate_indices")
+    counted(CyclicPairing, "lower")
+    # weighted_pair: 2 d columns, 8 off-diagonal and 2 odd-diagonal bracket
+    # keys, so 2 + 2 * 8 + 2 orderings, each evaluated and lowered once
+    for Q, expected in ((abelian_base(), 0), (weighted_pair(), 20)):
+        ops = Q.algebra.operations()
+        counts.clear()
+        _compatibility_violations(ops, Q.pairing)
+        assert counts.get("evaluate_indices", 0) == expected
+        assert counts.get("lower", 0) == expected
 
 
 _SCALARS = st.one_of(
@@ -445,7 +473,7 @@ _SCALARS = st.one_of(
 @given(st.sampled_from(CORPUS), st.integers(0, 3),
        st.randoms(use_true_random=False), st.data())
 def test_stored_rows_agree_with_the_entries_oracle(named, edits, rng, data):
-    """Evaluation, single values, the Gram rows and the pullback against
+    """Evaluation, single values, row images and the pullback against
     the form's upper-half entries with the symmetry sign applied by hand."""
     name, Q = named
     for _ in range(edits):
@@ -459,13 +487,22 @@ def test_stored_rows_agree_with_the_entries_oracle(named, edits, rng, data):
 
     u, v = vector(range(V.dim)), vector(range(V.dim))
     assert form.evaluate(u, v) == pairing_value_naive(form, u, v), name
-    rows = form.rows()
+
+    def lowered_naive(x):
+        values = {j: pairing_value_naive(form, x, V.basis_vector(j))
+                  for j in range(V.dim)}
+        return {j: c for j, c in values.items() if c}
+
+    image = form.lower(u)
+    assert image.coeffs == lowered_naive(u), name
+    for c in image.coeffs.values():
+        assert_exact_scalar(c)
     for i in range(V.dim):
+        e_i = V.basis_vector(i)
+        assert form.lower(e_i).coeffs == lowered_naive(e_i), (name, i)
         for j in range(V.dim):
-            naive = pairing_value_naive(form, V.basis_vector(i),
-                                        V.basis_vector(j))
-            assert form.value_indices(i, j) == naive, (name, i, j)
-            assert rows[i].coefficient(j) == naive, (name, i, j)
+            assert form.value_indices(i, j) == pairing_value_naive(
+                form, e_i, V.basis_vector(j)), (name, i, j)
     degrees = data.draw(st.lists(st.sampled_from(V.degrees_present()),
                                  max_size=4))
     vectors = [vector(V.indices_of_degree(d)) for d in degrees]

@@ -30,7 +30,7 @@ from gradedlie import from_symplectic_representation, normalize_splitting
 
 from oracles import (
     assert_exact_scalar, build_algebra, degree_rich_algebras,
-    detect_nonformality_naive, dgla_violations_naive,
+    detect_nonformality_naive, dgla_violations_naive, pairing_value_naive,
 )
 
 
@@ -861,6 +861,50 @@ def test_each_inclusion_functional_is_computed_once_per_build(monkeypatch):
     # nothing of total arity 2 or 3
     assert calls == [(p + 1, j) for p in range(3, N + 1) for j in range(2, p)]
     assert len(calls) == 10
+
+
+def test_inclusion_functionals_agree_with_the_entries_oracle(monkeypatch):
+    """Every I table the builder reads at N = 6 against the pairing of the
+    stored all-degree-1 inclusion values by the form's upper-half entries."""
+    calls = []
+    original = formality.compute_I
+
+    def recorded(T, pairing, p, j):
+        func = original(T, pairing, p, j)
+        calls.append((T, pairing, p, j, func))
+        return func
+    monkeypatch.setattr(formality, "compute_I", recorded)
+
+    def stored_values(op):
+        degrees = op.domain.degrees
+        return [(idx, value) for idx, value in op.entries()
+                if all(degrees[i] == 1 for i in idx)]
+
+    rng = random.Random(3)
+    instances = list(standard_corpus())
+    instances += [(f"two-step {t}", random_quasi_cyclic_two_step(rng, 2, 2))
+                  for t in range(10)]
+    N, built, entries = 6, 0, 0
+    for name, Q in instances:
+        s = compute_splitting(Q.algebra)
+        calls.clear()
+        if formality_verdict(Q, s, degree_zero(s), N).witness is None:
+            continue
+        assert [(p, j) for _, _, p, j, _ in calls] == [
+            (p + 1, j) for p in range(3, N + 1) for j in range(2, p)], name
+        for T, pairing, p, j, func in calls:
+            naive = {}
+            for left, lv in stored_values(T.inclusion.component(j)):
+                for right, rv in stored_values(T.inclusion.component(p - j)):
+                    value = pairing_value_naive(pairing, lv, rv)
+                    if value:
+                        naive[left + right] = value
+            assert func.table == naive, (name, p, j)
+            for value in func.table.values():
+                assert_exact_scalar(value)
+            entries += len(func.table)
+        built += 1
+    assert built >= 10 and entries > 0
 
 
 # --- the formality verdict ------------------------------------------------------
