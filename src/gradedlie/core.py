@@ -467,8 +467,8 @@ class GradedVectorSpace:
             i = key if isinstance(key, int) else self.index(key)
             c = as_scalar(value)
             if c:
-                out[i] = out.get(i, 0) + c
-        return Vector(self, {i: c for i, c in out.items() if c})
+                out[i] = _exact(out[i] + c) if i in out else c
+        return Vector._owning(self, {i: c for i, c in out.items() if c})
 
     def __eq__(self, other):
         return other is self or (

@@ -85,15 +85,12 @@ class AlgebraDocument:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _tokens(text, line, offset):
-    return [(m.group(0), offset + m.start() + 1)
-            for m in _TOKEN.finditer(text)]
-
-
 def _parse_rational(token, line, column):
-    """An exact scalar: int for plain digits, Fraction's grammar otherwise."""
+    """An exact scalar: int for plain digits (with an optional leading
+    `-`), Fraction's grammar otherwise."""
     try:
-        if token.isdigit() and token.isascii():
+        digits = token[1:] if token[:1] == "-" else token
+        if digits.isdigit() and digits.isascii():
             return int(token)
         return as_scalar(Fraction(token))
     except (ValueError, ZeroDivisionError):
@@ -101,69 +98,81 @@ def _parse_rational(token, line, column):
                          line, column) from None
 
 
+# One term of a combination: its signs, an optional `rational*` and its
+# label.  A coefficient is a number as _TOKEN reads one, or a lone
+# non-ASCII decimal digit (a one-character token that Fraction reads as
+# an integer).  A prefix of a number is never followed by `*`, so
+# backtracking cannot split one.
+_TERM = re.compile(r"\s*((?:[-+]\s*)*)(?:([0-9]+(?:/[0-9]+)?|\d)\s*\*\s*)?"
+                   r"([A-Za-z_][A-Za-z0-9_.]*)")
+
+
 def _parse_combination(text, line, offset, degrees, expected_degree, what):
-    """Parse `coeff*label +/- ...` (or `0`) into a label -> scalar table."""
-    tokens = _tokens(text, line, offset)
-    if not tokens:
+    """Parse `coeff*label +/- ...` (or `0`) into a label -> scalar table.
+
+    Each term is one _TERM match; its sign is the parity of its `-`
+    signs, and every term but the first needs at least one sign.
+    """
+    stripped = text.strip()
+    if not stripped:
         raise ParseError(f"missing value for {what}", line, offset)
-    if len(tokens) == 1 and tokens[0][0] == "0":
+    if stripped == "0":
         return {}
     out = {}
-    sign = 1
-    expect_term = True
-    i = 0
-    while i < len(tokens):
-        token, column = tokens[i]
-        if expect_term:
-            if token == "-":
-                sign = -sign
-                i += 1
-                continue
-            if token == "+":
-                i += 1
-                continue
-            if token[0].isdigit():
-                value = _parse_rational(token, line, column)
-                if i + 1 >= len(tokens) or tokens[i + 1][0] != "*":
-                    raise ParseError(
-                        "expected '*' and a basis label after the "
-                        "coefficient", line, column)
-                if i + 2 >= len(tokens) or not _LABEL.match(tokens[i + 2][0]):
-                    raise ParseError("expected a basis label after '*'",
-                                     line, tokens[i + 1][1])
-                label, label_col = tokens[i + 2]
-                i += 3
-            elif _LABEL.match(token):
-                value = 1
-                label, label_col = token, column
-                i += 1
-            else:
-                raise ParseError(f"unexpected token {token!r} in {what}",
-                                 line, column)
-            if label not in degrees:
-                raise ParseError(f"unknown basis label {label!r}",
-                                 line, label_col)
-            if degrees[label] != expected_degree:
-                raise ParseError(
-                    f"{what} must be homogeneous of degree "
-                    f"{expected_degree}; {label!r} has degree "
-                    f"{degrees[label]}", line, label_col)
-            out[label] = out.get(label, 0) + sign * value
-            sign = 1
-            expect_term = False
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise _term_error(text, pos, line, offset, what)
+        signs, coefficient, label = m.groups()
+        if pos and not signs:
+            raise _term_error(text, pos, line, offset, what)
+        if coefficient is None:
+            value = 1
+        elif "/" in coefficient:
+            value = _parse_rational(coefficient, line, offset + m.start(2) + 1)
         else:
-            if token == "+":
-                expect_term = True
-            elif token == "-":
-                sign = -1
-                expect_term = True
-            else:
-                raise ParseError(f"expected '+' or '-', got {token!r}",
+            value = int(coefficient)
+        degree = degrees.get(label)
+        if degree != expected_degree:
+            column = offset + m.start(3) + 1
+            if degree is None:
+                raise ParseError(f"unknown basis label {label!r}",
                                  line, column)
-            i += 1
-    if expect_term:
-        raise ParseError(f"dangling sign at the end of {what}", line, offset)
-    return {label: as_scalar(c) for label, c in out.items() if c}
+            raise ParseError(
+                f"{what} must be homogeneous of degree {expected_degree}; "
+                f"{label!r} has degree {degree}", line, column)
+        if signs.count("-") % 2:
+            value = -value
+        out[label] = as_scalar(out[label] + value) if label in out else value
+        pos = m.end()
+    return {label: c for label, c in out.items() if c}
+
+
+def _term_error(text, pos, line, offset, what):
+    """The error of the term that _TERM refuses at ``pos``, named from
+    the tokens there: a missing sign between terms, a dangling sign, or
+    a malformed coefficient or label (a bad rational raises its own)."""
+    tokens = ((m.group(0), offset + m.start() + 1)
+              for m in _TOKEN.finditer(text, pos))
+    token, column = next(tokens)
+    if pos and token not in ("+", "-"):
+        return ParseError(f"expected '+' or '-', got {token!r}", line, column)
+    while token in ("+", "-"):
+        token, column = next(tokens, (None, None))
+        if token is None:
+            return ParseError(f"dangling sign at the end of {what}",
+                              line, offset)
+    if not token[0].isdigit():
+        return ParseError(f"unexpected token {token!r} in {what}",
+                          line, column)
+    _parse_rational(token, line, column)
+    star, star_column = next(tokens, (None, None))
+    if star != "*":
+        return ParseError(
+            "expected '*' and a basis label after the coefficient",
+            line, column)
+    return ParseError("expected a basis label after '*'", line, star_column)
 
 
 _BASIS_ENTRY = re.compile(r"\s+(\S+)\s+(-?\d+)\s*$")
@@ -269,7 +278,7 @@ def parse_document(text: str) -> AlgebraDocument:
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
         indented = line[0].isspace()
 
@@ -308,7 +317,8 @@ def parse_document(text: str) -> AlgebraDocument:
                 except ValueError:
                     raise ParseError(
                         f"expected an integer degree, got {words[2]!r}",
-                        lineno, line.index(words[2]) + 1) from None
+                        lineno, line.index(words[2], line.index(words[1])
+                                           + len(words[1])) + 1) from None
                 require_basis(lineno, 1, header)
                 section = "pairing"
             elif header == "h0":
@@ -385,8 +395,7 @@ def parse_document(text: str) -> AlgebraDocument:
                     f"{degrees[left] + degrees[right]}, but the pairing "
                     f"is declared in degree {pairing_degree}",
                     lineno, column)
-            value = _parse_rational(m.group(4), lineno,
-                                    line.rindex(m.group(4)) + 1)
+            value = _parse_rational(m.group(4), lineno, m.start(4) + 1)
             store_pairing(left, right, value, lineno, column)
         elif section == "splitting":
             m = _SPLITTING_ENTRY.match(line)
@@ -431,7 +440,8 @@ def parse_document(text: str) -> AlgebraDocument:
 
 
 def load_document(path) -> AlgebraDocument:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark, if any, is not part of the text
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_document(handle.read())
 
 
@@ -483,12 +493,17 @@ def serialize_document(doc: AlgebraDocument) -> str:
 
 def document_to_algebra(doc: AlgebraDocument) -> DgLieAlgebra:
     space = doc.space()
+    index = {label: i for i, (label, _) in enumerate(doc.basis)}
+
+    def vector(table):
+        return space.vector({index[label]: c for label, c in table.items()})
+
     d = LinearMap(space, space, 1,
-                  {space.index(src): space.vector(table)
+                  {index[src]: vector(table)
                    for src, table in doc.differential.items()})
     bracket = MultilinearMap(space, space, 2, 0)
-    for pair, table in doc.brackets.items():
-        bracket.set_entry(pair, space.vector(table))
+    for (left, right), table in doc.brackets.items():
+        bracket.set_entry((index[left], index[right]), vector(table))
     return DgLieAlgebra(space, d, bracket)
 
 

@@ -7,12 +7,13 @@ rather than tautology.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
-from gradedlie.core import Vector
+from gradedlie.core import Vector, as_scalar
 from gradedlie.corpus import perturb_quasi_cyclic
 from gradedlie.documents import (
-    bundled_documents, document_to_quasi_cyclic, parse_document,
+    ParseError, bundled_documents, document_to_quasi_cyclic, parse_document,
 )
 
 
@@ -618,3 +619,89 @@ def degree_rich_algebras(edits_per_document=6):
     out.append(("nocontraction + [a, b] = b",
                 document_to_quasi_cyclic(parse_document(bad)).algebra))
     return out
+
+
+_NAIVE_TOKEN = re.compile(r"[+\-*]|[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_.]*|\S")
+_NAIVE_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
+
+
+def _rational_naive(token, line, column):
+    try:
+        if token.isdigit() and token.isascii():
+            return int(token)
+        return as_scalar(Fraction(token))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected a rational number, got {token!r}",
+                         line, column) from None
+
+
+def parse_combination_naive(text, line, offset, degrees, expected_degree,
+                            what):
+    """A combination (or ``0``) as a label -> scalar table, read token by
+    token through a sign/term state machine: the reader the document
+    parser used before its one-pattern-per-term scanner.  Same arguments,
+    tables and ParseError texts and positions as
+    ``documents._parse_combination``."""
+    tokens = [(m.group(0), offset + m.start() + 1)
+              for m in _NAIVE_TOKEN.finditer(text)]
+    if not tokens:
+        raise ParseError(f"missing value for {what}", line, offset)
+    if len(tokens) == 1 and tokens[0][0] == "0":
+        return {}
+    out = {}
+    sign = 1
+    expect_term = True
+    i = 0
+    while i < len(tokens):
+        token, column = tokens[i]
+        if expect_term:
+            if token == "-":
+                sign = -sign
+                i += 1
+                continue
+            if token == "+":
+                i += 1
+                continue
+            if token[0].isdigit():
+                value = _rational_naive(token, line, column)
+                if i + 1 >= len(tokens) or tokens[i + 1][0] != "*":
+                    raise ParseError(
+                        "expected '*' and a basis label after the "
+                        "coefficient", line, column)
+                if (i + 2 >= len(tokens)
+                        or not _NAIVE_LABEL.match(tokens[i + 2][0])):
+                    raise ParseError("expected a basis label after '*'",
+                                     line, tokens[i + 1][1])
+                label, label_col = tokens[i + 2]
+                i += 3
+            elif _NAIVE_LABEL.match(token):
+                value = 1
+                label, label_col = token, column
+                i += 1
+            else:
+                raise ParseError(f"unexpected token {token!r} in {what}",
+                                 line, column)
+            if label not in degrees:
+                raise ParseError(f"unknown basis label {label!r}",
+                                 line, label_col)
+            if degrees[label] != expected_degree:
+                raise ParseError(
+                    f"{what} must be homogeneous of degree "
+                    f"{expected_degree}; {label!r} has degree "
+                    f"{degrees[label]}", line, label_col)
+            out[label] = out.get(label, 0) + sign * value
+            sign = 1
+            expect_term = False
+        else:
+            if token == "+":
+                expect_term = True
+            elif token == "-":
+                sign = -1
+                expect_term = True
+            else:
+                raise ParseError(f"expected '+' or '-', got {token!r}",
+                                 line, column)
+            i += 1
+    if expect_term:
+        raise ParseError(f"dangling sign at the end of {what}", line, offset)
+    return {label: as_scalar(c) for label, c in out.items() if c}

@@ -245,6 +245,23 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
     assert "line 8, column 7" in err
 
 
+def test_a_byte_order_mark_is_not_part_of_the_document(corpus_files, tmp_path,
+                                                      capsys):
+    plain = Path(corpus_files["weighted-pair"])
+    marked = tmp_path / "weighted-pair.alg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    payloads = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, "validate", str(path),
+                             "--format", "structured")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["status"] == "PASS"
+        payload.pop("seconds")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_unknown_massey_label_exits_two(corpus_files, capsys):
     code, _, err = run(capsys, "massey", corpus_files["nocontraction"],
                        "--triple", "x", "x", "q")

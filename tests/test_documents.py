@@ -1,17 +1,24 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedlie import documents
 from gradedlie.documents import (
-    DocumentError, ParseError, bundled_documents, document_splitting,
-    document_to_algebra, document_to_quasi_cyclic, parse_document,
-    serialize_document,
+    AlgebraDocument, DocumentError, ParseError, bundled_documents,
+    document_splitting, document_to_algebra, document_to_quasi_cyclic,
+    parse_document, serialize_document,
 )
-from gradedlie.corpus import standard_corpus
+from gradedlie.corpus import (
+    random_quasi_cyclic_two_step, random_two_step, standard_corpus,
+)
 from gradedlie.dgla import validate_dgla
 from gradedlie.cyclic import validate_pairing
 
-from oracles import assert_exact_scalar
+from oracles import assert_exact_scalar, parse_combination_naive
 
 
 BUNDLED_NAMES = (
@@ -264,6 +271,109 @@ def test_bad_bracket_entries(entry, message):
         parse_document(text)
 
 
+GRAMMAR_HEADER = ("name grammar\nfield Q\n\nbasis\n  x 1\n  y 1\n  dp 2\n"
+                  "  dq 2\n\nbracket\n")
+GRAMMAR_DEGREES = {"x": 1, "y": 1, "dp": 2, "dq": 2}
+
+
+@pytest.mark.parametrize("value, table", [
+    ("-dp", {"dp": -1}),
+    ("+dp", {"dp": 1}),
+    ("dp - - dq", {"dp": 1, "dq": 1}),
+    ("dp + -dq", {"dp": 1, "dq": -1}),
+    ("2/4*dp", {"dp": Fraction(1, 2)}),
+    ("2*  dp", {"dp": 2}),
+    ("0", None),
+    ("0*dp", None),
+    ("dp - dp", None),
+])
+def test_accepted_combinations(value, table):
+    # the entry `  [x, y] = <value>` is line 11
+    doc = parse_document(GRAMMAR_HEADER + f"  [x, y] = {value}\n")
+    assert doc.brackets.get(("x", "y")) == table
+
+
+@pytest.mark.parametrize("value, column, message", [
+    ("dp dq", 15, "expected '+' or '-', got 'dq'"),
+    ("dp ^ dq", 15, "expected '+' or '-', got '^'"),
+    ("2 dp", 12, "expected '*' and a basis label after the coefficient"),
+    ("-0", 13, "expected '*' and a basis label after the coefficient"),
+    ("2*", 13, "expected a basis label after '*'"),
+    ("2*3", 13, "expected a basis label after '*'"),
+    ("dp +", 11, "dangling sign at the end of [x, y]"),
+    ("", 10, "missing value for [x, y]"),
+    ("1/0*dp", 12, "expected a rational number, got '1/0'"),
+    ("x", 12, "[x, y] must be homogeneous of degree 2; 'x' has degree 1"),
+    ("nope", 12, "unknown basis label 'nope'"),
+])
+def test_refused_combinations(value, column, message):
+    text = GRAMMAR_HEADER + f"  [x, y] = {value}\n"
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"line 11, column {column}: {message}") + "$"):
+        parse_document(text)
+
+
+def _combination_outcome(parse, text):
+    try:
+        table = parse(text, 11, 11, GRAMMAR_DEGREES, 2, "[x, y]")
+    except ParseError as error:
+        return "refused", error.reason, error.line, error.column
+    return "accepted", {label: (type(c), c) for label, c in table.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["x", "dp", "dq", "nope", *"0123456789", "/", "*", "+", "-", "^", " "]),
+    max_size=12).map("".join))
+def test_combination_scanner_matches_the_token_walk(text):
+    assert (_combination_outcome(documents._parse_combination, text)
+            == _combination_outcome(parse_combination_naive, text))
+
+
+def _exact_rows(table):
+    return {key: {i: (type(c), c) for i, c in value.coeffs.items()}
+            for key, value in table.items()}
+
+
+@pytest.mark.parametrize("n_u", [6, 7, 8, None])
+def test_workload_sized_documents_round_trip(n_u):
+    # dim 16-20: negative first terms and `2*` coefficients, built back
+    # with exactly the generator's constants
+    rng = random.Random(f"round trip {n_u}")
+    if n_u is None:
+        A, pairing = random_two_step(rng, 4, 6, 2), None
+    else:
+        Q = random_quasi_cyclic_two_step(rng, 4, n_u)
+        A, pairing = Q.algebra, Q.pairing
+    labels = A.space.labels
+    doc = AlgebraDocument(
+        name="sized", basis=list(zip(labels, A.space.degrees)),
+        differential={labels[i]: {labels[j]: c for j, c in v.coeffs.items()}
+                      for i, v in A.d.columns.items()},
+        brackets={(labels[i], labels[j]): {labels[k]: c
+                                           for k, c in v.coeffs.items()}
+                  for (i, j), v in A.bracket.entries()})
+    if pairing is not None:
+        doc.pairing_degree = pairing.degree
+        doc.pairing = [((labels[i], labels[j]), c)
+                       for (i, j), c in pairing.entries()]
+    text = serialize_document(doc)
+    assert re.search(r"= -", text) and "2*" in text
+    parsed = parse_document(text)
+    if pairing is None:
+        B = document_to_algebra(parsed)
+    else:
+        Q = document_to_quasi_cyclic(parsed)
+        B = Q.algebra
+        rows = [Q.pairing.lower(Q.space.basis_vector(i)).coeffs
+                for i in range(Q.space.dim)]
+        assert rows == [pairing.lower(A.space.basis_vector(i)).coeffs
+                        for i in range(A.space.dim)]
+    assert B.space == A.space
+    assert _exact_rows(B.d.columns) == _exact_rows(A.d.columns)
+    assert _exact_rows(B.bracket.table) == _exact_rows(A.bracket.table)
+
+
 def test_parse_error_carries_line_and_column():
     text = "name bad\nfield Q\n\nbasis\n  x 1\n\nbracket\n  [x, q] = x\n"
     with pytest.raises(ParseError) as info:
@@ -271,6 +381,11 @@ def test_parse_error_carries_line_and_column():
     assert info.value.line == 8
     assert info.value.column == 7
     assert str(info.value).startswith("line 8, column 7")
+    # a bad pairing degree is located at the value, not at the keyword
+    text = "name bad\nfield Q\n\nbasis\n  x 1\n\npairing degree degree\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert (info.value.line, info.value.column) == (7, 16)
 
 
 @pytest.mark.parametrize("value", ["1", "2"])
@@ -334,6 +449,8 @@ def test_odd_diagonal_pairing_must_vanish():
      "lists 'g' twice"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree two\n",
      "expected an integer"),
+    ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree degree\n",
+     "^line 7, column 16: expected an integer degree, got 'degree'$"),
     ("name a\nfield Q\n\nbasis\n  x 1\n\npairing degree 2\n  (qq, x) = 1\n",
      "^line 8, column 4: unknown basis label 'qq'"),
     ("name a\nfield Q\n\nbasis\n  u1 1\n  u2 1\n\nsplitting\n  H\n"
