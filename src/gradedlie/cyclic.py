@@ -227,9 +227,24 @@ def validate_pairing(Q: QuasiCyclicDgla, splitting: Splitting | None = None) -> 
 
 
 def _gram_rank(form: CyclicPairing) -> int:
-    dim = form.space.dim
-    return len(rref([[form.value_indices(i, j) for j in range(dim)]
-                     for i in range(dim)])[1])
+    """The rank of the Gram matrix as the sum of its degree blocks' ranks.
+
+    (e_i, e_j) is zero unless |i| + |j| is the form's degree, so the rows
+    of degree a meet only the columns of degree n - a.  The block (a, n - a)
+    is the transpose of its mirror up to the symmetry sign, so it is
+    eliminated once and counted for both.
+    """
+    space, n = form.space, form.degree
+    rank = 0
+    for a in space.degrees_present():
+        if 2 * a > n:
+            break
+        columns = space.indices_of_degree(n - a)
+        if columns:
+            block = len(rref([[form.value_indices(i, j) for j in columns]
+                              for i in space.indices_of_degree(a)])[1])
+            rank += block if 2 * a == n else 2 * block
+    return rank
 
 
 def _compatibility_violations(ops: dict, form: CyclicPairing) -> list:

@@ -85,25 +85,29 @@ class AlgebraDocument:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# A scalar: ASCII digits with an optional leading `-` and an optional
+# `/` denominator.  A coefficient in a combination takes no sign.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational(token, line, column):
-    """An exact scalar: int for plain digits (with an optional leading
-    `-`), Fraction's grammar otherwise."""
-    try:
-        digits = token[1:] if token[:1] == "-" else token
-        if digits.isdigit() and digits.isascii():
+    """An exact scalar from a _RATIONAL token: an int, or a Fraction when
+    the denominator does not divide.  Any other token, or a zero
+    denominator, is a ParseError at ``column``."""
+    if _RATIONAL.fullmatch(token):
+        if "/" not in token:
             return int(token)
-        return as_scalar(Fraction(token))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number, got {token!r}",
-                         line, column) from None
+        numerator, denominator = token.split("/")
+        if int(denominator):
+            return as_scalar(Fraction(int(numerator), int(denominator)))
+    raise ParseError(f"expected a rational number, got {token!r}",
+                     line, column)
 
 
 # One term of a combination: its signs, an optional `rational*` and its
-# label.  A coefficient is a number as _TOKEN reads one, or a lone
-# non-ASCII decimal digit (a one-character token that Fraction reads as
-# an integer).  A prefix of a number is never followed by `*`, so
-# backtracking cannot split one.
-_TERM = re.compile(r"\s*((?:[-+]\s*)*)(?:([0-9]+(?:/[0-9]+)?|\d)\s*\*\s*)?"
+# label, the coefficient as _TOKEN reads a number.  A prefix of a number
+# is never followed by `*`, so backtracking cannot split one.
+_TERM = re.compile(r"\s*((?:[-+]\s*)*)(?:([0-9]+(?:/[0-9]+)?)\s*\*\s*)?"
                    r"([A-Za-z_][A-Za-z0-9_.]*)")
 
 

@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .core import (
     LinearMap, MultilinearMap, Vector, accumulate, as_scalar,
-    coordinates_in_span, echelon_vectors, repeat_pattern, rref,
-    shuffle_splits,
+    coordinates_in_span, echelon_vectors, rref,
 )
 from .dgla import (
     DgLieAlgebra, EquivariantObstruction, Splitting, _require_valid,
@@ -221,9 +221,12 @@ class PairingFunctional:
     """Scalar functional on tuples of degree-1 classes, split in two blocks.
 
     Symmetric within each block (degree-1 entries commute with no sign);
-    the table stores block-sorted index tuples.  :func:`compute_I` pairs
-    two inclusion values in the ambient algebra, ``_compute_F`` two witness
-    coefficients through the induced pairing on classes.
+    the table stores block-sorted index tuples, nonzero values only.
+    :func:`compute_I` pairs two inclusion values in the ambient algebra,
+    ``_compute_F`` two witness coefficients through the induced pairing
+    on classes.  The witness builder reads ``table`` directly, entry by
+    entry; :meth:`value_indices` is the query at one tuple in any order
+    within its blocks.
     """
     total_arity: int
     split: tuple
@@ -410,6 +413,15 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     at (g, idx), which the transfer and :func:`verify_witness` check; only
     iota_N and f_N are checked for it here, through the action rows
     [e_i, g] built up front.
+
+    Both the solves and that check are scattered from stored entries, and
+    the scatters miss nothing.  The right side of the solve at a sorted
+    degree-1 tuple is a sum, over its shuffle splits and the columns, of
+    functional values, so each nonzero term is a stored entry; each entry
+    is added onto every (tuple, column) that reads it, and a tuple that
+    none reaches solves to zero, which f_p does not store.  [top(idx), g]
+    is zero unless top has an entry at idx, and the acted sum at idx
+    unless it has one at a tuple that an action-row step takes to idx.
     """
     A = Q.algebra
     H = s.h_space
@@ -463,27 +475,36 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     inverse = [row[len(h1):] for row in red]
 
     f_tables = {1: _identity_map(H)}
+    column = {t: c for c, t in enumerate(h1)}
     solves = 0
     for p in range(3, N + 1):
-        # the functionals of splits (j, p + 1 - j), 2 <= j <= p - 1: the
-        # boundary splits vanish under the normalization
-        funcs = [(compute_I(T, Q.pairing, p + 1, j),
-                  _compute_F(h_form, f_tables, p + 1, j))
-                 for j in range(2, p)]
+        # the right sides scattered from the stored entries of
+        # D_j = I(p+1, j) - F(p+1, j), 2 <= j <= p - 1 (the boundary splits
+        # vanish under the normalization): an entry (left, right) reaches
+        # column t of the tuple sorted(left + right - t), once per
+        # position set of that tuple carrying ``left``
+        sides = {}
+        for j in range(2, p):
+            diff = dict(compute_I(T, Q.pairing, p + 1, j).table)
+            for key, value in _compute_F(h_form, f_tables, p + 1,
+                                         j).table.items():
+                diff[key] = diff.get(key, 0) - value
+            for key, value in diff.items():
+                if not value:
+                    continue
+                left, right = key[:j], key[j:]
+                for t in dict.fromkeys(right):
+                    rest = list(right)
+                    rest.remove(t)
+                    idx = tuple(sorted(left + tuple(rest)))
+                    side = sides.setdefault(idx, {})
+                    side[t] = side.get(t, 0) + _placements(idx, left) * value
+        # every sorted tuple counts: one that no entry reaches solves to 0
+        solves += comb(len(h1) + p - 1, p)
         f_p = MultilinearMap(H, H, p, 1 - p)
-        for idx in itertools.combinations_with_replacement(h1, p):
-            totals = [0] * len(h1)
-            repeats = repeat_pattern(idx)
-            for j, (i_func, f_func) in enumerate(funcs, 2):
-                for first, second, c in shuffle_splits(j, p - j, (1,) * p,
-                                                       repeats):
-                    head = tuple([idx[x] for x in first + second])
-                    for col, t in enumerate(h1):
-                        args = head + (t,)
-                        totals[col] += c * (i_func.value_indices(args)
-                                            - f_func.value_indices(args))
-            solves += 1
-            vec = Vector(H, {h1[c]: sum(a * b for a, b in zip(row, totals))
+        for idx in sorted(sides):
+            side = sides[idx].items()
+            vec = Vector(H, {h1[c]: sum(row[column[t]] * v for t, v in side)
                              * _HALF for c, row in enumerate(inverse)})
             if not vec.is_zero():
                 f_p.set_entry(idx, vec)
@@ -493,29 +514,32 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
 
     # iota_N and f_N enter no relation of arity <= N: their equivariance
     # under each degree-0 class g, acting on the ambient algebra through
-    # iota_1(g) and on H through its action row [e_i, g]
+    # iota_1(g) and on H through the action rows [e_i, g], read here
+    # backwards as t -> the (i, c) with c*e_t in [e_i, g]
     h0 = H.indices_of_degree(0)
     g_classes = [H.basis_vector(g) for g in h0]
     bracket2 = T.minimal.operation(2)
-    rows = [{i: tuple(bracket2.evaluate_indices((i, g)).coeffs.items())
-             for i in h1} for g in h0]
+    sources = []
+    for g in h0:
+        into = {}
+        for i in h1:
+            for t, c in bracket2.evaluate_indices((i, g)).coeffs.items():
+                into.setdefault(t, []).append((i, c))
+        sources.append(into)
     tops = [(f"arity-{N} inclusion", T.inclusion.component(N), A.bracket,
              [s.iota1.apply(g) for g in g_classes])]
     if N >= 3:
         tops.append((f"witness coefficient f_{N}", f_tables[N], bracket2,
                      g_classes))
-    checked = 0
     for name, top, bracket, acting in tops:
-        for idx in itertools.combinations_with_replacement(h1, N):
-            value = top.evaluate_indices(idx)
-            for g, g_acting, row in zip(g_classes, acting, rows):
-                lhs = bracket.evaluate([value, g_acting])
-                rhs = _acted_value(top, idx, row)
-                assert lhs == rhs, (
-                    f"{name} fails equivariance at "
-                    f"{tuple(H.labels[i] for i in idx)} under {g}: "
-                    f"{lhs} vs {rhs}")
-                checked += 1
+        failure = _equivariance_failure(top, bracket, acting, sources)
+        if failure is not None:
+            idx, g, lhs, rhs = failure
+            raise AssertionError(
+                f"{name} fails equivariance at "
+                f"{tuple(H.labels[i] for i in idx)} under {g_classes[g]}: "
+                f"{lhs} vs {rhs}")
+    checked = len(tops) * comb(len(h1) + N - 1, N) * len(h0)
     names = " and the ".join(name for name, *_ in tops)
     report.append(f"equivariance of the {names} checked on {checked} pairs")
 
@@ -526,15 +550,46 @@ def _build_degree_two_witness(Q, s, T: TransferResult, N: int, report: list):
     return taylor
 
 
-def _acted_value(op: MultilinearMap, idx, row) -> Vector:
-    """Sum over slots of ``op`` with that slot acted on: each slot in turn
-    replaced by the entries of its action row."""
-    acc = {}
-    for slot, i in enumerate(idx):
-        for t, c in row[i]:
-            key = idx[:slot] + (t,) + idx[slot + 1:]
-            accumulate(acc, op.evaluate_indices(key), c)
-    return Vector._owning(op.codomain, acc)
+def _placements(idx, block) -> int:
+    """The position sets of the sorted tuple ``idx`` that carry the
+    sub-multiset ``block``: the merged count of the shuffles that pick it,
+    whose signs are all +1 on degree-1 classes."""
+    count = 1
+    for x in set(block):
+        count *= comb(idx.count(x), block.count(x))
+    return count
+
+
+def _equivariance_failure(top: MultilinearMap, bracket, acting, sources):
+    """The first (tuple, class position, [top(idx), g], sum over slots of
+    ``top`` acted on) that differ, in tuple-then-class order, or None.
+
+    Both sides are zero off the stored all-degree-1 entries and the tuples
+    they reach: [top(idx), g] is read at each entry, and an entry K adds
+    c * mult(i) * top(K) at sorted(K - t + i) for each distinct t in K and
+    each (i, c) in ``sources[g][t]``.
+    """
+    stored = _nonzero_values(top) if sources else []
+    zero = top.codomain.zero()
+    failures = []
+    for g, (g_acting, into) in enumerate(zip(acting, sources)):
+        lhs = {idx: bracket.evaluate([value, g_acting])
+               for idx, value in stored}
+        rhs = {}
+        for key, value in stored:
+            for t in dict.fromkeys(key):
+                rest = list(key)
+                rest.remove(t)
+                for i, c in into.get(t, ()):
+                    idx = tuple(sorted(rest + [i]))
+                    accumulate(rhs.setdefault(idx, {}), value,
+                               c * idx.count(i))
+        for idx in lhs.keys() | rhs.keys():
+            left = lhs.get(idx, zero)
+            right = Vector._owning(top.codomain, rhs.get(idx, {}))
+            if left != right:
+                failures.append((idx, g, left, right))
+    return min(failures, default=None, key=lambda f: f[:2])
 
 
 def verify_witness(witness: FormalityWitness, T: TransferResult) -> list:

@@ -10,7 +10,10 @@ import random
 import re
 from fractions import Fraction
 
-from gradedlie.core import Vector, as_scalar
+from gradedlie import formality
+from gradedlie.core import (
+    MultilinearMap, Vector, as_scalar, repeat_pattern, shuffle_splits,
+)
 from gradedlie.corpus import perturb_quasi_cyclic
 from gradedlie.documents import (
     ParseError, bundled_documents, document_to_quasi_cyclic, parse_document,
@@ -194,6 +197,92 @@ def rref_naive(rows):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def witness_coefficients_naive(Q, s, T, N):
+    """The witness coefficients f_3..f_N of the degree-2 recursion, gathered
+    tuple by tuple: for every sorted degree-1 p-tuple, every shuffle split
+    of it and every column t, the functionals I(p+1, j) - F(p+1, j) are
+    read through ``PairingFunctional.value_indices``, and each tuple is
+    solved through the inverse Gram matrix.  The functionals come from
+    ``formality.compute_I`` and ``formality._compute_F`` as looked up at
+    call time.  Returns ({p: f_p}, the builder's report line)."""
+    H = s.h_space
+    h1 = H.indices_of_degree(1)
+    h_form = Q.pairing.pullback(H, s.h_vectors)
+    red, pivots = rref_naive([[h_form.value_indices(c, t) for c in h1]
+                              + [int(r == t) for r in h1] for t in h1])
+    assert pivots == list(range(len(h1)))
+    inverse = [row[len(h1):] for row in red]
+    identity = MultilinearMap(H, H, 1, 0)
+    for i in range(H.dim):
+        identity.set_entry((i,), H.basis_vector(i))
+    f_tables = {1: identity}
+    solves = 0
+    for p in range(3, N + 1):
+        funcs = [(formality.compute_I(T, Q.pairing, p + 1, j),
+                  formality._compute_F(h_form, f_tables, p + 1, j))
+                 for j in range(2, p)]
+        f_p = MultilinearMap(H, H, p, 1 - p)
+        for idx in itertools.combinations_with_replacement(h1, p):
+            totals = [0] * len(h1)
+            repeats = repeat_pattern(idx)
+            for j, (i_func, f_func) in enumerate(funcs, 2):
+                for first, second, c in shuffle_splits(j, p - j, (1,) * p,
+                                                       repeats):
+                    head = tuple([idx[x] for x in first + second])
+                    for col, t in enumerate(h1):
+                        args = head + (t,)
+                        totals[col] += c * (i_func.value_indices(args)
+                                            - f_func.value_indices(args))
+            solves += 1
+            vec = Vector(H, {h1[c]: Fraction(sum(a * b for a, b in zip(
+                row, totals)), 2) for c, row in enumerate(inverse)})
+            if not vec.is_zero():
+                f_p.set_entry(idx, vec)
+        f_tables[p] = f_p
+    return ({p: f_tables[p] for p in range(3, N + 1)},
+            f"coefficient recursion: {solves} unique solves across arities "
+            f"3..{N}")
+
+
+def top_equivariance_failures_naive(s, T, f_N, N):
+    """The degree-0 equivariance of iota_N (and of f_N when N >= 3),
+    checked at every sorted degree-1 N-tuple and every degree-0 class g:
+    [top(idx), g] against the sum over slots of ``top`` with that slot
+    replaced by the entries of its action row [e_i, g].  Returns the
+    failing (tuple, class) pairs in the builder's order, each as the text
+    of its AssertionError, and the builder's report line."""
+    H = s.h_space
+    h1, h0 = H.indices_of_degree(1), H.indices_of_degree(0)
+    bracket2 = T.minimal.operation(2)
+    tops = [(f"arity-{N} inclusion", T.inclusion.component(N),
+             T.algebra.bracket,
+             [s.iota1.apply(H.basis_vector(g)) for g in h0])]
+    if N >= 3:
+        tops.append((f"witness coefficient f_{N}", f_N, bracket2,
+                     [H.basis_vector(g) for g in h0]))
+    failures, checked = [], 0
+    for name, top, bracket, acting in tops:
+        for idx in itertools.combinations_with_replacement(h1, N):
+            value = top.evaluate_indices(idx)
+            for g, g_acting in zip(h0, acting):
+                lhs = bracket.evaluate([value, g_acting])
+                rhs = top.codomain.zero()
+                for slot, i in enumerate(idx):
+                    row = bracket2.evaluate_indices((i, g)).coeffs
+                    for t, c in row.items():
+                        key = idx[:slot] + (t,) + idx[slot + 1:]
+                        rhs = rhs + top.evaluate_indices(key).scale(c)
+                if lhs != rhs:
+                    failures.append(
+                        f"{name} fails equivariance at "
+                        f"{tuple(H.labels[i] for i in idx)} under "
+                        f"{H.basis_vector(g)}: {lhs} vs {rhs}")
+                checked += 1
+    names = " and the ".join(name for name, *_ in tops)
+    return failures, (f"equivariance of the {names} checked on {checked} "
+                      f"pairs")
 
 
 def solve_naive(rows, rhs):
@@ -626,13 +715,17 @@ _NAIVE_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 
 def _rational_naive(token, line, column):
-    try:
-        if token.isdigit() and token.isascii():
-            return int(token)
-        return as_scalar(Fraction(token))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number, got {token!r}",
-                         line, column) from None
+    """ASCII digits, an optional leading `-` and an optional nonzero
+    `/` denominator of ASCII digits; anything else is refused."""
+    numerator, slash, denominator = token.partition("/")
+    digits = numerator[1:] if numerator.startswith("-") else numerator
+    if digits.isascii() and digits.isdigit() and (not slash or (
+            denominator.isascii() and denominator.isdigit()
+            and int(denominator))):
+        return as_scalar(Fraction(int(numerator),
+                                  int(denominator) if slash else 1))
+    raise ParseError(f"expected a rational number, got {token!r}",
+                     line, column)
 
 
 def parse_combination_naive(text, line, offset, degrees, expected_degree,

@@ -11,7 +11,8 @@ from gradedlie.core import (
 from gradedlie.cyclic import (
     CyclicPairing, NormalizationError, QuasiCyclicDgla,
     SymplecticRepresentation, from_symplectic_representation,
-    _compatibility_violations, normalize_splitting, validate_pairing,
+    _compatibility_violations, _gram_rank, normalize_splitting,
+    validate_pairing,
 )
 from gradedlie.dgla import Splitting, compute_splitting, validate_dgla
 from gradedlie.formality import build_formality_witness, verify_witness
@@ -24,7 +25,7 @@ from gradedlie.corpus import (
 from oracles import (
     assert_exact_scalar, build_algebra, lie_jacobi_cyclic_sums_naive,
     pairing_closed_violations_naive, pairing_cyclic_violations_naive,
-    pairing_value_naive,
+    pairing_value_naive, rref_naive,
 )
 
 
@@ -97,6 +98,48 @@ def test_corpus_classification_is_frozen():
         rep = validate_pairing(Q)
         assert rep.violations == [], name
         assert (rep.status(), rep.rank_on_L, rep.rank_on_H) == EXPECTED[name], name
+
+
+def _random_form(rng):
+    degrees = [rng.choice([-1, 0, 1, 1, 2, 3])
+               for _ in range(rng.randint(1, 9))]
+    V = GradedVectorSpace([(f"e{i}", d) for i, d in enumerate(degrees)])
+    form = CyclicPairing(V, rng.choice([0, 1, 2, 2, 3, 4]))
+    for i in range(V.dim):
+        for j in range(i, V.dim):
+            if (degrees[i] + degrees[j] == form.degree
+                    and not (i == j and degrees[i] % 2)
+                    and rng.random() < 0.5):
+                form.set_entry((i, j), rng.randint(-2, 2))
+    return form
+
+
+def test_gram_rank_sums_the_degree_blocks():
+    """The block rank against the naive rank of the whole dim x dim Gram
+    matrix: the corpus forms and their pullbacks onto H, seeded random
+    forms, and a degenerate form whose blocks have rank 1."""
+    forms = []
+    for name, Q in standard_corpus():
+        s = compute_splitting(Q.algebra)
+        forms += [Q.pairing, Q.pairing.pullback(s.h_space, s.h_vectors)]
+    rng = random.Random(4)
+    forms += [_random_form(rng) for _ in range(200)]
+    V = GradedVectorSpace([("a", 0), ("b", 0), ("x", 1), ("y", 1),
+                           ("w", 2)])
+    degenerate = CyclicPairing(V, 2, {("a", "w"): 1, ("b", "w"): 2,
+                                      ("x", "y"): 0})
+    forms.append(degenerate)
+    ranks = set()
+    for form in forms:
+        dim = form.space.dim
+        naive = len(rref_naive([[form.value_indices(i, j)
+                                 for j in range(dim)]
+                                for i in range(dim)])[1])
+        assert _gram_rank(form) == naive, form.entries()
+        ranks.add((naive, dim))
+    assert _gram_rank(degenerate) == 2
+    assert any(rank < dim for rank, dim in ranks)
+    assert any(0 < rank == dim for rank, dim in ranks)
 
 
 def test_explicit_splitting_gives_the_same_classification():

@@ -237,7 +237,7 @@ bracket
 pairing degree 2
   (x1, x2) = -3/2
   (a, u)   = 6/3
-  (a, v)   = 1.5
+  (a, v)   = 9/6
 """
     doc = parse_document(text)
     assert doc.differential == {"a": {"x1": 2, "x2": 1}}
@@ -313,6 +313,48 @@ def test_refused_combinations(value, column, message):
         parse_document(text)
 
 
+@pytest.mark.parametrize("value, column, message", [
+    ("٣*dp", 12, "expected a rational number, got '٣'"),
+    ("１*dp", 12, "expected a rational number, got '１'"),
+    ("٣٣*dp", 12, "expected a rational number, got '٣'"),
+    ("²*dp", 12, "expected a rational number, got '²'"),
+    ("dp - ٣*dq", 17, "expected a rational number, got '٣'"),
+    ("1.5*dp", 12, "expected '*' and a basis label after the coefficient"),
+])
+def test_coefficients_are_ascii_numbers(value, column, message):
+    # the `[x, y] = ` entry of line 11 puts the value at column 12
+    text = GRAMMAR_HEADER + f"  [x, y] = {value}\n"
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"line 11, column {column}: {message}") + "$"):
+        parse_document(text)
+
+
+PAIRING_HEADER = ("name grammar\nfield Q\n\nbasis\n  a 0\n  v 2\n\n"
+                  "pairing degree 2\n")
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("7", 7), ("-7", -7), ("007", 7), ("6/4", Fraction(3, 2)),
+    ("-3/6", Fraction(-1, 2)), ("4/2", 2), ("-0", None),
+])
+def test_pairing_values_read_the_ascii_rational_grammar(value, expected):
+    doc = parse_document(PAIRING_HEADER + f"  (a, v) = {value}\n")
+    assert dict(doc.pairing).get(("a", "v")) == expected
+    assert type(dict(doc.pairing).get(("a", "v"))) is type(expected)
+
+
+@pytest.mark.parametrize("value", [
+    "1.5", "1e3", "1_0", "+3", "٣", "１", "٣/2", "1/٣", "--1", "1/-2",
+    "3/0", "0x1", "1/2/3",
+])
+def test_pairing_values_outside_the_grammar_are_refused(value):
+    # `  (a, v) = ` on line 9: the value starts at column 12
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"line 9, column 12: expected a rational number, got "
+            f"{value!r}") + "$"):
+        parse_document(PAIRING_HEADER + f"  (a, v) = {value}\n")
+
+
 def _combination_outcome(parse, text):
     try:
         table = parse(text, 11, 11, GRAMMAR_DEGREES, 2, "[x, y]")
@@ -323,7 +365,8 @@ def _combination_outcome(parse, text):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(
-    ["x", "dp", "dq", "nope", *"0123456789", "/", "*", "+", "-", "^", " "]),
+    ["x", "dp", "dq", "nope", *"0123456789", "/", "*", "+", "-", "^", " ",
+     "٣", "１", "²", "."]),
     max_size=12).map("".join))
 def test_combination_scanner_matches_the_token_walk(text):
     assert (_combination_outcome(documents._parse_combination, text)

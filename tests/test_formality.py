@@ -31,6 +31,7 @@ from gradedlie import from_symplectic_representation, normalize_splitting
 from oracles import (
     assert_exact_scalar, build_algebra, degree_rich_algebras,
     detect_nonformality_naive, dgla_violations_naive, pairing_value_naive,
+    top_equivariance_failures_naive, witness_coefficients_naive,
 )
 
 
@@ -781,6 +782,163 @@ def test_planted_coefficient_pairing_entry_fails_the_coefficient_checks(
     assert _verdict_leftovers(Q, 4) == [
         "morphism_relation_4 fails at (g, v1, v2, v2): defect -2*v1",
         "morphism_relation_4 fails at (v1, v2, v2, v2): defect -3*g^"]
+
+
+def test_the_first_failing_tuple_is_named_whatever_the_table_order(
+        monkeypatch):
+    # two non-equivariant iota_3 values, the later tuple stored first: the
+    # failure named is the first in tuple order
+    Q, s = _symplectic_plane()
+    original = formality.homotopy_transfer
+    transfers = []
+
+    def planted(A, splitting, N):
+        T = original(A, splitting, N)
+        H = T.minimal.space
+        v1, v2 = H.index("v1"), H.index("v2")
+        T.inclusion.taylor[3] = MultilinearMap(H, A.space, 3, -2)
+        T.inclusion.taylor[3].set_entry((v1, v2, v2), A.basis_vector("v1"))
+        T.inclusion.taylor[3].set_entry((v1, v1, v2), A.basis_vector("v2"))
+        transfers.append(T)
+        return T
+    monkeypatch.setattr(formality, "homotopy_transfer", planted)
+    message = _witness_failure(Q, s, 3)
+    assert message == (
+        "arity-3 inclusion fails equivariance at ('v1', 'v1', 'v2') "
+        "under g: v2 vs -v2")
+    T, = transfers
+    f_tables, _ = witness_coefficients_naive(Q, T.splitting, T, 3)
+    failures, _ = top_equivariance_failures_naive(T.splitting, T,
+                                                  f_tables[3], 3)
+    assert failures == [
+        message,
+        "arity-3 inclusion fails equivariance at ('v1', 'v2', 'v2') "
+        "under g: -v1 vs v1"]
+
+
+# --- the scattered witness against the gathered reference ------------------
+# The builder scatters its coefficient right sides and its top equivariance
+# check from stored entries; tests/oracles.py keeps the per-tuple gathers
+# they replace.
+
+def _witness_instances():
+    instances = list(standard_corpus())
+    for n_x, n_u in [(2, 1), (2, 3), (4, 2)]:
+        instances += [
+            (f"two-step ({n_x}, {n_u}) seed {seed}",
+             random_quasi_cyclic_two_step(random.Random(seed), n_x, n_u))
+            for seed in range(2)]
+    rng = random.Random(5)
+    instances += [
+        (f"symplectic {t}",
+         from_symplectic_representation(random_symplectic(rng)))
+        for t in range(6)]
+    return instances
+
+
+def _gathered_reference(Q, T, N):
+    """The reference f_3..f_N, the failures of its top check and its two
+    report lines, on the transfer the builder read."""
+    f_tables, coefficients = witness_coefficients_naive(Q, T.splitting, T, N)
+    failures, equivariance = top_equivariance_failures_naive(
+        T.splitting, T, f_tables[N], N)
+    return f_tables, failures, [coefficients, equivariance]
+
+
+def _tables(witness, p):
+    H = witness.transfer.minimal.space
+    return witness.taylor.get(p, MultilinearMap(H, H, p, 1 - p)).table
+
+
+def test_the_scattered_witness_matches_the_gathered_reference():
+    built, entries = 0, 0
+    for name, Q in _witness_instances():
+        s = compute_splitting(Q.algebra)
+        for N in range(3, 7):
+            verdict = formality_verdict(Q, s, degree_zero(s), N)
+            if verdict.status != f"FORMAL-UP-TO-{N}":
+                break
+            witness = verdict.witness
+            f_tables, failures, lines = _gathered_reference(
+                Q, witness.transfer, N)
+            assert failures == [], (name, N)
+            for p in range(3, N + 1):
+                assert _tables(witness, p) == f_tables[p].table, (name, N, p)
+                entries += len(f_tables[p].table)
+            assert witness.report[3:] == lines, (name, N)
+            built += 1
+    assert built >= 60 and entries > 0
+
+
+def test_planted_entries_agree_with_the_gathered_reference(monkeypatch):
+    """Seeded non-invariant entries planted in the I functionals and in
+    iota_N: the builder's tables equal the reference's, or its
+    AssertionError is the reference's first failure."""
+    original_I = formality.compute_I
+    original_transfer = formality.homotopy_transfer
+    seed, transfers = [0], []
+
+    def degree_one_key(rng, h1, sizes):
+        return sum((tuple(sorted(rng.choices(h1, k=k))) for k in sizes), ())
+
+    def planted_I(T, pairing, p, j):
+        # the same plants at every call with this (seed, p, j)
+        func = original_I(T, pairing, p, j)
+        rng = random.Random(repr((seed[0], p, j)))
+        h1 = T.minimal.space.indices_of_degree(1)
+        for _ in range(rng.randint(0, 2)):
+            key = degree_one_key(rng, h1, (j, p - j))
+            value = func.table.get(key, 0) + rng.choice([-2, -1, 1, 3])
+            if value:
+                func.table[key] = value
+            else:
+                del func.table[key]
+        return func
+
+    def planted_transfer(A, splitting, N):
+        T = original_transfer(A, splitting, N)
+        rng = random.Random(repr((seed[0], N)))
+        h1 = T.minimal.space.indices_of_degree(1)
+        targets = A.space.indices_of_degree(1)
+        top = T.inclusion.taylor.setdefault(N, T.inclusion.component(N))
+        for _ in range(rng.randint(0, 1)):
+            key = degree_one_key(rng, h1, (N,))
+            value = top.evaluate_indices(key) + A.space.vector(
+                {rng.choice(targets): rng.choice([-1, 2])})
+            if value.is_zero():
+                del top.table[key]
+            else:
+                top.table[key] = value
+        transfers.append(T)
+        return T
+
+    monkeypatch.setattr(formality, "compute_I", planted_I)
+    monkeypatch.setattr(formality, "homotopy_transfer", planted_transfer)
+    raised, passed = 0, 0
+    for name, Q in _witness_instances():
+        s = compute_splitting(Q.algebra)
+        for N in range(3, 6):
+            seed[0] += 1
+            transfers.clear()
+            try:
+                verdict = formality_verdict(Q, s, degree_zero(s), N)
+            except AssertionError as error:
+                T, = transfers
+                _, failures, _ = _gathered_reference(Q, T, N)
+                assert failures[:1] == [str(error)], (name, N)
+                raised += 1
+                continue
+            if verdict.witness is None:
+                break
+            T, = transfers
+            f_tables, failures, lines = _gathered_reference(Q, T, N)
+            assert failures == [], (name, N)
+            for p in range(3, N + 1):
+                assert _tables(verdict.witness, p) == f_tables[p].table, (
+                    name, N, p)
+            assert verdict.witness.report[3:] == lines, (name, N)
+            passed += 1
+    assert raised >= 10 and passed >= 10
 
 
 def _invariance_defects(Q, witness):
